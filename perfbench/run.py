@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import resource
 import shutil
@@ -198,6 +199,24 @@ def traced(workload, args, work_dir: Path, seed: int, tally: Tally):
     return {name: (metrics[name], unit) for name, unit, _better in PER_LAYER}
 
 
+def stop_children() -> None:
+    """Stop and reap every process this run started.
+
+    The program's pool joins its workers, but the shared-memory blocks it
+    ships traces in start the multiprocessing resource tracker, a process
+    that otherwise outlives the run until it notices the pipe close."""
+    for child in multiprocessing.active_children():
+        child.join(timeout=5.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    from multiprocessing import resource_tracker
+
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
@@ -226,6 +245,7 @@ def main(argv=None) -> int:
         metrics = run(workload, args, work_dir, seed, tally)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
+        stop_children()
     for name, (value, unit) in metrics.items():
         print(f"{name:<44} {value:>16.6g} {unit}")
     print(json.dumps({
