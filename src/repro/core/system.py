@@ -53,8 +53,9 @@ objects at all -- a :class:`~repro.trace.record.TraceStream` handed to
 from __future__ import annotations
 
 import gc
+from bisect import insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, nsmallest
+from heapq import heappush
 from typing import Dict, List, Optional
 
 from repro.coherence.engine import CoherenceConfig, CoherenceEngine, CoherentMiss
@@ -72,6 +73,7 @@ from repro.obs.metrics import MetricsSampler
 from repro.obs.spec import ObservabilitySpec
 from repro.obs.timeline import TimelineRecorder
 from repro.sim.engine import Simulator
+from repro.sim.resources import admission_time
 from repro.sim.stats import Histogram, RunningStats
 from repro.trace.packed import (
     HOME_MASK,
@@ -599,52 +601,29 @@ class SystemSimulator:
             state.arrival_clock = arrival_instant
             transaction.arrival_time = arrival_instant
         hub = state.hub
-        # MSHR allocation, transcribed from TokenPool.acquire (the reference
-        # implementation): expire released tokens, then grant immediately or
-        # at the earliest release.
+        # MSHR allocation and injection-queue admission (TokenPool.acquire and
+        # Hub.inject / BoundedQueue.admit, inlined onto the shared admission
+        # helper).  The injection departure is the hub forwarding completion,
+        # which is always >= the grant.
         pool = hub.mshr_pool
-        releases = pool._releases
-        while releases and releases[0] <= now:
-            heappop(releases)
-        outstanding = len(releases)
-        if outstanding < pool.tokens:
-            mshr_grant = now
-        else:
-            overflow = outstanding - pool.tokens
-            if overflow == 0:
-                mshr_grant = releases[0]
-            else:
-                mshr_grant = nsmallest(overflow + 1, releases)[-1]
+        mshr_grant = admission_time(pool._releases, now, pool.tokens)
         pool.acquisitions += 1
         pool.total_wait += mshr_grant - now
         transaction.mshr_wait = mshr_grant - now
 
-        # Injection-queue admission (Hub.inject / BoundedQueue.admit,
-        # inlined; reference implementations there).  The departure time is
-        # the hub forwarding completion, which is always >= the grant.
         forwarding_latency = hub.forwarding_latency_s
         queue = hub.injection_queue
         departures = queue._departures
-        while departures and departures[0] <= mshr_grant:
-            heappop(departures)
-        resident = len(departures)
-        if resident < queue.capacity:
-            admitted = mshr_grant
-        else:
-            overflow = resident - queue.capacity
-            if overflow == 0:
-                admitted = departures[0]
-            else:
-                admitted = nsmallest(overflow + 1, departures)[-1]
+        admitted = admission_time(departures, mshr_grant, queue.capacity)
         departure = mshr_grant + forwarding_latency
         if departure < admitted:
             raise ValueError(
                 f"departure {departure} precedes admission {admitted}"
             )
-        heappush(departures, departure)
+        insort(departures, departure)
         queue.total_admitted += 1
-        if resident + 1 > queue.max_occupancy_seen:
-            queue.max_occupancy_seen = resident + 1
+        if len(departures) > queue.max_occupancy_seen:
+            queue.max_occupancy_seen = len(departures)
         hub.messages_routed += 1
         inject_time = admitted + forwarding_latency
         if state.cluster_id == home:
@@ -819,8 +798,8 @@ class SystemSimulator:
         hops = req_hops + miss.extra_hops + rsp_hops
         messages = req_messages + miss.extra_messages + rsp_messages
 
-        # MSHR release (TokenPool.release_at, inlined to a heap push).
-        heappush(state.hub.mshr_pool._releases, completion_time)
+        # MSHR release (TokenPool.release_at, inlined).
+        insort(state.hub.mshr_pool._releases, completion_time)
         state.completions[transaction.index] = completion_time
         if completion_time > self._makespan:
             self._makespan = completion_time
@@ -915,8 +894,8 @@ class SystemSimulator:
             hops = req_hops + rsp_hops
             messages = 2
 
-        # MSHR release (TokenPool.release_at, inlined to a heap push).
-        heappush(state.hub.mshr_pool._releases, completion_time)
+        # MSHR release (TokenPool.release_at, inlined).
+        insort(state.hub.mshr_pool._releases, completion_time)
         state.completions[transaction.index] = completion_time
         if completion_time > self._makespan:
             self._makespan = completion_time

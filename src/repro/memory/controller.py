@@ -8,13 +8,13 @@ the effect that dominates the Hot Spot results in the paper.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, nsmallest
 from typing import List, NamedTuple
 
 from repro.memory.channel import MemoryChannel
 from repro.memory.dram import OcmModule, daisy_chain_delay
-from repro.sim.resources import BoundedQueue
+from repro.sim.resources import BoundedQueue, admission_time
 from repro.sim.stats import RunningStats
 
 #: Bytes of command/address overhead sent to memory per access (the command
@@ -125,22 +125,10 @@ class MemoryController:
 
         # Finite controller queue: requests that arrive while the queue is
         # full are admitted only when an earlier request departs.  The
-        # BoundedQueue admission/registration pair is transcribed inline
-        # (reference: BoundedQueue.admission_time / admit), saving two calls
-        # per access.
+        # departure is registered below, once the completion time is known.
         queue = self.queue
         departures = queue._departures
-        while departures and departures[0] <= now:
-            heappop(departures)
-        resident = len(departures)
-        if resident < queue.capacity:
-            admit_estimate = now
-        else:
-            overflow = resident - queue.capacity
-            if overflow == 0:
-                admit_estimate = departures[0]
-            else:
-                admit_estimate = nsmallest(overflow + 1, departures)[-1]
+        admit_estimate = admission_time(departures, now, queue.capacity)
         queue_wait = admit_estimate - now
         start = admit_estimate
 
@@ -194,7 +182,7 @@ class MemoryController:
 
         # Register the stay in the queue; the admission estimate above already
         # accounted for back-pressure, so the entry is committed directly.
-        heappush(departures, completion)
+        insort(departures, completion)
         queue.total_admitted += 1
         if len(departures) > queue.max_occupancy_seen:
             queue.max_occupancy_seen = len(departures)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.sim.resources import resident_after
+
 #: Long-form row: (time_ns, resource, metric, value).
 MetricRow = Tuple[float, str, str, float]
 
@@ -51,9 +53,9 @@ class MetricsSampler:
 
     Built per replay (its deltas are per-run) and installed by the system
     simulator after the event calendar and thread states exist.  All reads
-    are non-mutating: pool/queue occupancies are counted by scanning the
-    release/departure heaps instead of calling the (pruning) accessors, so
-    sampling perturbs nothing.
+    are non-mutating: pool/queue occupancies are counted by bisecting the
+    sorted release/departure lists instead of calling the (pruning)
+    accessors, so sampling perturbs nothing.
     """
 
     __slots__ = (
@@ -176,10 +178,7 @@ class MetricsSampler:
         depth = 0
         dram_bytes = 0.0
         for controller in controller_list:
-            departures = controller.queue._departures
-            for departure in departures:
-                if departure > now:
-                    depth += 1
+            depth += resident_after(controller.queue._departures, now)
             dram_bytes += controller.bytes_transferred
         add(rows, t_ns, "dram", "queue_depth", depth)
         add(rows, t_ns, "dram", "bytes_total", dram_bytes)
@@ -192,9 +191,7 @@ class MetricsSampler:
         mshr_wait = 0.0
         for hub in system.hubs.values():
             pool = hub.mshr_pool
-            for release in pool._releases:
-                if release > now:
-                    in_use += 1
+            in_use += resident_after(pool._releases, now)
             mshr_wait += pool.total_wait
         add(rows, t_ns, "mshr", "in_use", in_use)
         add(rows, t_ns, "mshr", "wait_s_total", mshr_wait)

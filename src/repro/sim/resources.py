@@ -13,13 +13,16 @@ order (for example a data-return reserved 20 ns ahead of commands that arrive
 in between).
 
 :class:`BoundedQueue` adds finite capacity (back-pressure) on top, and
-:class:`TokenPool` models a counted resource such as MSHRs.
+:class:`TokenPool` models a counted resource such as MSHRs.  Both keep their
+outstanding departure/release times in a sorted list and share
+:func:`admission_time` for the admit/grant order statistic; the replay hot
+paths (memory controller, hub MSHRs and injection queue) call it on the same
+lists.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 from typing import List, Optional
 
 #: Gaps shorter than this are considered zero (floating-point noise guard).
@@ -30,6 +33,31 @@ _EPSILON = 1e-15
 #: past ones by at most the latency of an in-flight transaction, which is far
 #: below this horizon in every Corona configuration.
 _PRUNE_HORIZON = 5e-6
+
+
+def admission_time(times: List[float], now: float, capacity: int) -> float:
+    """Earliest time a new entry can take one of ``capacity`` slots at ``now``.
+
+    ``times`` is the sorted list of outstanding departure (or release) times.
+    Entries at or before ``now`` have left and are deleted in place.  With
+    ``resident`` entries left, the newcomer waits for the
+    ``resident - capacity + 1``-th earliest departure, which sits at index
+    ``resident - capacity``: one bisect and one slice delete, however deep
+    the backlog.  Register the newcomer's own departure afterwards with
+    :func:`bisect.insort` so the list stays sorted.
+    """
+    if times and times[0] <= now:
+        del times[: bisect.bisect_right(times, now)]
+    resident = len(times)
+    if resident < capacity:
+        return now
+    return times[resident - capacity]
+
+
+def resident_after(times: List[float], now: float) -> int:
+    """Entries of the sorted ``times`` still outstanding after ``now``
+    (non-mutating, for samplers)."""
+    return len(times) - bisect.bisect_right(times, now)
 
 
 class SerialResource:
@@ -331,34 +359,20 @@ class BoundedQueue:
         self.name = name
         self.capacity = capacity
         # Departure times of entries currently considered "in the queue",
-        # kept as a min-heap so expiry is amortized O(1) per entry.
+        # kept sorted (see :func:`admission_time`).
         self._departures: List[float] = []
         self.total_admitted: int = 0
         self.max_occupancy_seen: int = 0
 
-    def _expire(self, now: float) -> None:
-        departures = self._departures
-        while departures and departures[0] <= now:
-            heapq.heappop(departures)
-
     def occupancy(self, now: float) -> int:
-        """Number of entries resident at time ``now``."""
-        self._expire(now)
-        return len(self._departures)
+        """Number of entries resident at time ``now`` (departed ones expire)."""
+        departures = self._departures
+        del departures[: bisect.bisect_right(departures, now)]
+        return len(departures)
 
     def admission_time(self, now: float) -> float:
         """Earliest time at which a new entry could be admitted."""
-        self._expire(now)
-        departures = self._departures
-        resident = len(departures)
-        if resident < self.capacity:
-            return now
-        # Must wait for enough departures among resident entries: the entry is
-        # admitted when the queue first has a free slot.
-        overflow = resident - self.capacity
-        if overflow == 0:
-            return departures[0]
-        return heapq.nsmallest(overflow + 1, departures)[-1]
+        return admission_time(self._departures, now, self.capacity)
 
     def admit(self, now: float, departure_time: float) -> float:
         """Admit an entry that will depart at ``departure_time``.
@@ -366,15 +380,16 @@ class BoundedQueue:
         Returns the actual admission time (>= ``now``) after back-pressure.
         ``departure_time`` must be no earlier than the admission time.
         """
-        admit_at = self.admission_time(now)
+        departures = self._departures
+        admit_at = admission_time(departures, now, self.capacity)
         if departure_time < admit_at:
             raise ValueError(
                 f"departure {departure_time} precedes admission {admit_at}"
             )
-        heapq.heappush(self._departures, departure_time)
+        bisect.insort(departures, departure_time)
         self.total_admitted += 1
-        if len(self._departures) > self.max_occupancy_seen:
-            self.max_occupancy_seen = len(self._departures)
+        if len(departures) > self.max_occupancy_seen:
+            self.max_occupancy_seen = len(departures)
         return admit_at
 
     def reset(self) -> None:
@@ -401,19 +416,15 @@ class TokenPool:
             raise ValueError(f"tokens must be >= 1, got {tokens}")
         self.name = name
         self.tokens = tokens
-        # Outstanding release times as a min-heap (amortized O(1) expiry).
+        # Outstanding release times, kept sorted (see :func:`admission_time`).
         self._releases: List[float] = []
         self.acquisitions: int = 0
         self.total_wait: float = 0.0
 
-    def _expire(self, now: float) -> None:
-        releases = self._releases
-        while releases and releases[0] <= now:
-            heapq.heappop(releases)
-
     def in_use(self, now: float) -> int:
-        self._expire(now)
-        return len(self._releases)
+        releases = self._releases
+        del releases[: bisect.bisect_right(releases, now)]
+        return len(releases)
 
     def acquire(self, now: float, release_time_hint: Optional[float] = None) -> float:
         """Acquire a token at or after ``now``; returns the grant time.
@@ -422,17 +433,7 @@ class TokenPool:
         known.  If omitted, the token must be released later via
         :meth:`release_at`.
         """
-        self._expire(now)
-        releases = self._releases
-        outstanding = len(releases)
-        if outstanding < self.tokens:
-            grant = now
-        else:
-            overflow = outstanding - self.tokens
-            if overflow == 0:
-                grant = releases[0]
-            else:
-                grant = heapq.nsmallest(overflow + 1, releases)[-1]
+        grant = admission_time(self._releases, now, self.tokens)
         self.acquisitions += 1
         self.total_wait += grant - now
         if release_time_hint is not None:
@@ -440,12 +441,12 @@ class TokenPool:
                 raise ValueError(
                     f"release {release_time_hint} precedes grant {grant}"
                 )
-            heapq.heappush(releases, release_time_hint)
+            bisect.insort(self._releases, release_time_hint)
         return grant
 
     def release_at(self, release_time: float) -> None:
         """Register the release time for a token acquired without a hint."""
-        heapq.heappush(self._releases, release_time)
+        bisect.insort(self._releases, release_time)
 
     def average_wait(self) -> float:
         if self.acquisitions == 0:

@@ -1,9 +1,13 @@
 """Integration tests for the trace-driven system simulator."""
 
+import time
+
 import pytest
 
+from repro.api import build_workload
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
+from repro.trace.packed import generate_packed_trace
 from repro.trace.record import AccessKind, TraceRecord, TraceStream
 
 
@@ -244,3 +248,36 @@ class TestWorkloadReplay:
         assert stats.queueing.mean == pytest.approx(1e-9)
         assert stats.network_latency.mean == pytest.approx(2e-9)
         assert stats.memory_latency.mean == pytest.approx(3e-9)
+
+
+class TestReplayScaling:
+    #: Host cost per request may grow at most this much from n to 4n
+    #: requests.  Flat (O(log n) admission) measures about 1.1x; the former
+    #: partial sort over the whole controller backlog measured about 3.7x.
+    MAX_COST_GROWTH = 2.0
+
+    @staticmethod
+    def _seconds_per_request(num_requests: int) -> float:
+        """Best-of-3 host seconds per request of an XBar/OCM Hot Spot replay
+        (trace generation excluded)."""
+        trace = generate_packed_trace(
+            build_workload("Hot Spot"), seed=1, num_requests=num_requests
+        )
+        best = float("inf")
+        for _ in range(3):
+            simulator = SystemSimulator(configuration_by_name("XBar/OCM"))
+            started = time.perf_counter()
+            simulator.run(trace)
+            best = min(best, time.perf_counter() - started)
+        return best / num_requests
+
+    def test_oversubscribed_replay_cost_per_request_stays_flat(self):
+        """Hot Spot keeps the hot controller thousands of entries past its
+        capacity, so a per-admission cost linear in the backlog shows up as
+        quadratic replay time here."""
+        small = self._seconds_per_request(1_500)
+        large = self._seconds_per_request(6_000)
+        growth = large / small
+        assert growth <= self.MAX_COST_GROWTH, (
+            f"host s/request grew {growth:.2f}x from 1,500 to 6,000 requests"
+        )

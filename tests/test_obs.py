@@ -1,7 +1,8 @@
 """Tests for the observability subsystem (`repro.obs`): spec validation
 and Scenario wiring, the off-by-default bit-identity guarantee, timeline
 trace_event validity (spans nest, fault events present), the metrics
-sampler's resource series, harness phase/worker timings (serial and
+sampler's resource series (and its DRAM queue depth and MSHR counts
+against a naive scan), harness phase/worker timings (serial and
 ``--jobs 2``), the progress heartbeat, the sweep timing surfaces, and the
 address-workload registry entries."""
 
@@ -20,9 +21,11 @@ from repro.api import (
     ScenarioError,
     SystemSpec,
     WorkloadSpec,
+    build_configuration,
     build_workload,
     run,
 )
+from repro.core.system import SystemSimulator
 from repro.faults import FaultSpec
 from repro.obs import (
     ObservabilityError,
@@ -30,6 +33,8 @@ from repro.obs import (
     ProgressReporter,
 )
 from repro.obs.artifacts import pair_path, resolve_pair_spec
+from repro.obs.metrics import MetricsSampler
+from repro.trace.packed import generate_packed_trace
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep, sweep_status
 
 
@@ -228,6 +233,57 @@ class TestTimeline:
             e.get("ph") == "M" and "truncated" in json.dumps(e)
             for e in events
         )
+
+
+class TestSampledQueueCounts:
+    def test_hot_spot_queue_depth_and_mshrs_match_naive_counts(
+        self, tmp_path, monkeypatch
+    ):
+        """The sampler counts outstanding DRAM departures and MSHR releases
+        by bisecting the sorted admission lists; at every sampled instant of
+        an oversubscribed Hot Spot run both equal a plain scan."""
+        naive = {}
+        original = MetricsSampler.sample
+
+        def sample_and_scan(sampler, now):
+            system = sampler._system
+            depth = sum(
+                1
+                for controller in system._controllers
+                for departure in controller.queue._departures
+                if departure > now
+            )
+            in_use = sum(
+                1
+                for hub in system.hubs.values()
+                for release in hub.mshr_pool._releases
+                if release > now
+            )
+            naive[now * 1e9] = (depth, in_use)
+            original(sampler, now)
+
+        monkeypatch.setattr(MetricsSampler, "sample", sample_and_scan)
+        simulator = SystemSimulator(
+            build_configuration("XBar/OCM"),
+            observability=ObservabilitySpec(
+                metrics_path=str(tmp_path / "m.csv"), metrics_interval_ns=100.0
+            ),
+        )
+        trace = generate_packed_trace(
+            build_workload("Hot Spot"), seed=3, num_requests=3000
+        )
+        simulator.run(trace)
+        sampled = {}
+        for t_ns, resource, metric, value in simulator._obs_metrics.rows:
+            if (resource, metric) in (("dram", "queue_depth"), ("mshr", "in_use")):
+                sampled.setdefault(t_ns, {})[resource] = value
+        assert sampled.keys() == naive.keys()
+        for t_ns, (depth, in_use) in naive.items():
+            assert sampled[t_ns] == {"dram": depth, "mshr": in_use}, t_ns
+        # The hot controller backs up far past its capacity at several
+        # instants, so the bisected count is exercised beyond the full queue.
+        capacity = simulator._controllers[0].queue.capacity
+        assert sum(depth > capacity for depth, _ in naive.values()) >= 10
 
 
 class TestHarnessTimings:

@@ -2,7 +2,8 @@
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
@@ -13,7 +14,7 @@ from repro.network.message import Message, MessageType
 from repro.network.topology import MeshCoordinates
 from repro.photonics.inventory import corona_inventory
 from repro.sim.engine import Simulator
-from repro.sim.resources import SerialResource, TokenPool
+from repro.sim.resources import BoundedQueue, SerialResource, TokenPool
 from repro.sim.stats import RunningStats, geometric_mean
 from repro.trace.synthetic import tornado_destination, transpose_destination
 
@@ -69,6 +70,109 @@ class TestResourceProperties:
             pool.release_at(grant + 1e-7 + rng.random() * 1e-7)
             assert grant >= now
             assert pool.in_use(grant) <= tokens
+
+
+#: Whole-number instants: small enough that ties between departures, and
+#: between a departure and ``now``, are common.
+_INSTANTS = st.integers(min_value=0, max_value=24).map(float)
+
+
+class _NaiveSlots:
+    """Reference admission: drop the entries at or before ``now``, sort the
+    rest, and read index ``resident - capacity``."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.times = []
+
+    def admit_time(self, now):
+        self.times = [t for t in self.times if t > now]
+        resident = len(self.times)
+        if resident < self.capacity:
+            return now
+        return sorted(self.times)[resident - self.capacity]
+
+
+class TestAdmissionProperties:
+    """The sorted-list admission of BoundedQueue and TokenPool returns the
+    same order statistic as a naive rescan, for any capacity, with ties,
+    out-of-order ``now`` and late-registered releases."""
+
+    @seed(20080621)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("admit", "query")),
+                _INSTANTS,
+                st.integers(min_value=-3, max_value=12),
+            ),
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_queue_matches_naive_reference(self, capacity, ops):
+        queue = BoundedQueue("q", capacity)
+        reference = _NaiveSlots(capacity)
+        peak = 0
+        for op, now, stay in ops:
+            expected = reference.admit_time(now)
+            if op == "query":
+                assert queue.admission_time(now) == expected
+                continue
+            departure = expected + stay
+            if stay < 0:
+                with pytest.raises(ValueError, match="precedes admission"):
+                    queue.admit(now, departure)
+                continue
+            assert queue.admit(now, departure) == expected
+            reference.times.append(departure)
+            peak = max(peak, len(reference.times))
+        assert queue.max_occupancy_seen == peak
+        assert queue.occupancy(-1.0) == len(reference.times)
+
+    @seed(20080622)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("hint", "late", "release")),
+                _INSTANTS,
+                st.integers(min_value=-3, max_value=12),
+            ),
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_token_pool_matches_naive_reference(self, tokens, ops):
+        pool = TokenPool("pool", tokens=tokens)
+        reference = _NaiveSlots(tokens)
+        unreleased = []  # grants acquired without a hint
+        total_wait = 0.0
+        for op, now, stay in ops:
+            if op == "release":
+                # Register a hint-less token's release some steps after its
+                # grant, as the replay does at transaction completion.
+                if unreleased:
+                    release = unreleased.pop(0) + abs(stay)
+                    pool.release_at(release)
+                    reference.times.append(release)
+                continue
+            expected = reference.admit_time(now)
+            total_wait += expected - now
+            if op == "late":
+                assert pool.acquire(now) == expected
+                unreleased.append(expected)
+                continue
+            hint = expected + stay
+            if stay < 0:
+                with pytest.raises(ValueError, match="precedes grant"):
+                    pool.acquire(now, release_time_hint=hint)
+                continue
+            assert pool.acquire(now, release_time_hint=hint) == expected
+            reference.times.append(hint)
+        assert pool.total_wait == total_wait
+        assert pool.in_use(-1.0) == len(reference.times)
 
 
 class TestStatisticsProperties:

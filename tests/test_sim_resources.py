@@ -288,7 +288,7 @@ class TestResourceEdgeCases:
     def test_bounded_queue_admission_overflow_path(self):
         # Occupancy can exceed capacity because admit() books future-time
         # admissions; admission_time must then wait for enough departures
-        # (the heapq.nsmallest overflow branch), not just the earliest one.
+        # (the order statistic past the first one), not just the earliest one.
         queue = BoundedQueue("q", capacity=2)
         queue.admit(0.0, departure_time=10.0)
         queue.admit(0.0, departure_time=20.0)
@@ -303,7 +303,7 @@ class TestResourceEdgeCases:
         pool = TokenPool("mshrs", tokens=2)
         pool.acquire(0.0)
         pool.acquire(0.0)
-        # Releases registered in reverse completion order: the heap must
+        # Releases registered in reverse completion order: the pool must
         # grant against the earliest release, not the insertion order.
         pool.release_at(40.0)
         pool.release_at(10.0)
