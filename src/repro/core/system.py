@@ -421,11 +421,15 @@ class SystemSimulator:
                 hub_fwd=self._hub_fwd,
                 broadcast_bus=self.broadcast_bus,
             )
-            self._stage_memory = self._on_memory_coherent
+            # Stage 2 is kept unbound and pushed with ``self`` as its first
+            # argument: a bound method stored on ``self`` would be a
+            # reference cycle keeping every finished simulator alive until
+            # the cyclic GC runs.
+            self._stage_memory = type(self)._on_memory_coherent
         else:
             self.broadcast_bus = None
             self.coherence = None
-            self._stage_memory = self._on_memory
+            self._stage_memory = type(self)._on_memory
 
     # ------------------------------------------------------------------ replay
     def run(self, trace: AnyTrace) -> WorkloadResult:
@@ -484,6 +488,14 @@ class SystemSimulator:
         if observability is not None and observability.simulation_active:
             self._install_observability(observability)
 
+        # Every reservation of this run is made at or after the simulated
+        # clock, so the interconnect and the controllers read it to drop
+        # intervals that can no longer matter.  Unbound again afterwards:
+        # calls outside a replay keep horizon-only pruning.
+        clocked = [self.network, *self.memory.controllers.values()]
+        for component in clocked:
+            component.clock = self._simulator
+
         # The replay allocates heavily (events, transactions, results) but
         # creates no reference cycles, so the cyclic collector only adds
         # overhead; pause it for the duration of the event loop.
@@ -493,6 +505,8 @@ class SystemSimulator:
         try:
             self._simulator.run()
         finally:
+            for component in clocked:
+                component.clock = None
             if gc_was_enabled:
                 gc.enable()
         return self._build_result(packed, self._makespan)
@@ -647,7 +661,7 @@ class SystemSimulator:
         equeue = self._equeue
         heappush(
             self._eheap,
-            (memory_start, equeue._seq, self._stage_memory, (state, transaction)),
+            (memory_start, equeue._seq, self._stage_memory, (self, state, transaction)),
         )
         equeue._seq += 1
 

@@ -14,7 +14,7 @@ from typing import List, NamedTuple
 
 from repro.memory.channel import MemoryChannel
 from repro.memory.dram import OcmModule, daisy_chain_delay
-from repro.sim.resources import BoundedQueue, admission_time
+from repro.sim.resources import FLOOR_MARGIN, BoundedQueue, admission_time, reserve_interval
 from repro.sim.stats import RunningStats
 
 #: Bytes of command/address overhead sent to memory per access (the command
@@ -81,6 +81,9 @@ class MemoryController:
     #: latency for transient-timeout retries.  ``None`` on fault-free builds,
     #: so the access hot path pays one ``is None`` check.
     fault_dram: object = field(default=None, repr=False)
+    #: The replay's simulator while one runs, else ``None``; every access is
+    #: made at or after ``clock.now`` (see :func:`reserve_interval`).
+    clock: object = field(default=None, repr=False)
     _outbound: "SerialResource" = field(init=False, repr=False)
     _inbound: "SerialResource" = field(init=False, repr=False)
     _channel_latency_s: float = field(init=False, repr=False)
@@ -135,19 +138,18 @@ class MemoryController:
         # Channel: command goes out, then either the write data goes out or
         # the read data comes back.  Half-duplex channels serialize the two.
         # (MemoryChannel.send/receive, inlined onto the bound resources.)
+        clock = self.clock
+        floor = 0.0 if clock is None else clock.now - FLOOR_MARGIN
         channel_latency = self._channel_latency_s
         if is_write:
-            channel_done = (
-                self._outbound.reserve(
-                    start, (COMMAND_BYTES + size_bytes) / self._bytes_per_s
-                )
-                + channel_latency
-            )
+            duration = (COMMAND_BYTES + size_bytes) / self._bytes_per_s
         else:
-            channel_done = (
-                self._outbound.reserve(start, self._command_serialization_s)
-                + channel_latency
-            )
+            duration = self._command_serialization_s
+        channel_done = (
+            reserve_interval(self._outbound, start, duration, floor)
+            + duration
+            + channel_latency
+        )
 
         # DRAM access behind the channel (single-module chains skip the
         # address mapping and the zero pass-through delay).
@@ -158,7 +160,7 @@ class MemoryController:
             module_index, module = self.module_for_address(address)
             chain_delay = daisy_chain_delay(module_index)
         if self.model_banks:
-            data_ready = module.access(address, channel_done + chain_delay)
+            data_ready = module.access(address, channel_done + chain_delay, floor)
         else:
             data_ready = channel_done + chain_delay + self.access_latency_s
         if self.fault_dram is not None:
@@ -173,10 +175,12 @@ class MemoryController:
             completion = data_ready
         else:
             # Read data returns over the channel.
+            duration = size_bytes / self._bytes_per_s
             completion = (
-                self._inbound.reserve(
-                    data_ready + chain_delay, size_bytes / self._bytes_per_s
+                reserve_interval(
+                    self._inbound, data_ready + chain_delay, duration, floor
                 )
+                + duration
                 + channel_latency
             )
 

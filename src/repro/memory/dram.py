@@ -18,11 +18,10 @@ page-open DRAM -- the comparison surfaced in the paper's power discussion.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.sim.resources import _EPSILON, _PRUNE_HORIZON, SerialResource
+from repro.sim.resources import SerialResource, reserve_interval
 
 
 @dataclass(frozen=True)
@@ -70,49 +69,14 @@ class DramBank:
         self._cycle_time_s = self.timings.cycle_time_s
         self._access_latency_s = self.timings.access_latency_s
 
-    def access(self, now: float) -> float:
+    def access(self, now: float, floor: float = 0.0) -> float:
         """Perform one access starting no earlier than ``now``.
 
         Returns the time at which data is available.  The bank stays busy for
-        its cycle time, which may exceed the data-available point.
-
-        The single-server SerialResource.reserve logic is transcribed inline
-        (one bank reservation per replayed miss); SerialResource.reserve is
-        the reference implementation.
+        its cycle time, which may exceed the data-available point.  ``floor``
+        is the clock floor of :func:`~repro.sim.resources.reserve_interval`.
         """
-        cycle = self._cycle_time_s
-        resource = self._resource
-        if now > resource._high_water_request:
-            resource._high_water_request = now
-        prune_before = resource._high_water_request - _PRUNE_HORIZON
-        starts = resource._starts[0]
-        ends = resource._ends[0]
-        if prune_before > 0 and ends and ends[0] <= prune_before:
-            cut = bisect_right(ends, prune_before)
-            del ends[:cut]
-            del starts[:cut]
-        start = now
-        n = len(starts)
-        index = bisect_right(ends, start)
-        while index < n:
-            if start + cycle <= starts[index] + _EPSILON:
-                break
-            interval_end = ends[index]
-            if interval_end > start:
-                start = interval_end
-            index += 1
-        end = start + cycle
-        if index >= n:
-            if n and ends[-1] >= start - _EPSILON:
-                if end > ends[-1]:
-                    ends[-1] = end
-            else:
-                starts.append(start)
-                ends.append(end)
-        else:
-            resource._insert(0, start, end)
-        resource.busy_time += cycle
-        resource.reservations += 1
+        start = reserve_interval(self._resource, now, self._cycle_time_s, floor)
         self.accesses += 1
         return start + self._access_latency_s
 
@@ -152,8 +116,8 @@ class DramDie:
         line = address >> 6
         return self.banks[line % self.num_banks]
 
-    def access(self, address: int, now: float) -> float:
-        return self.bank_for_address(address).access(now)
+    def access(self, address: int, now: float, floor: float = 0.0) -> float:
+        return self.bank_for_address(address).access(now, floor)
 
     def total_accesses(self) -> int:
         return sum(bank.accesses for bank in self.banks)
@@ -197,7 +161,7 @@ class OcmModule:
         line = address >> 6
         return self.dies[(line // self.banks_per_die) % len(self.dies)]
 
-    def access(self, address: int, now: float) -> float:
+    def access(self, address: int, now: float, floor: float = 0.0) -> float:
         """Access the module; returns the data-ready time.
 
         The die and bank selection is inlined (same mapping as
@@ -206,7 +170,7 @@ class OcmModule:
         """
         line = address >> 6
         die = self.dies[(line // self.banks_per_die) % len(self.dies)]
-        return die.banks[line % die.num_banks].access(now)
+        return die.banks[line % die.num_banks].access(now, floor)
 
     def total_accesses(self) -> int:
         return sum(die.total_accesses() for die in self.dies)

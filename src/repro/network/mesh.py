@@ -18,14 +18,13 @@ paper's high-bandwidth workloads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.network.link import Link
 from repro.network.message import Message
 from repro.network.router import MeshRouter
 from repro.network.topology import Interconnect, MeshCoordinates, TransferResult
-from repro.sim.resources import _EPSILON, _PRUNE_HORIZON
+from repro.sim.resources import FLOOR_MARGIN, reserve_interval
 
 
 class ElectricalMesh(Interconnect):
@@ -122,13 +121,7 @@ class ElectricalMesh(Interconnect):
 
         # Walk the XY (dimension-order) route inline: same traversal as
         # MeshCoordinates.dimension_order_route, without materializing the
-        # route list.  The per-hop link reservation is the single hottest
-        # operation of the mesh configurations (tens of thousands of calls per
-        # replay), so the single-server SerialResource.reserve logic is
-        # transcribed here verbatim -- same prune horizon, gap search and
-        # tail-coalescing insert -- operating directly on each link resource's
-        # interval lists.  SerialResource.reserve is the reference
-        # implementation; behavioral changes must be mirrored in both places.
+        # route list, reserving each link through the shared gap search.
         serialization = message.size_bytes / self.link_bandwidth_bytes_per_s
         radix = self.coordinates.radix_x
         num_clusters = self.num_clusters
@@ -137,8 +130,8 @@ class ElectricalMesh(Interconnect):
         resources = self._link_resources
         link_slow = self._fault_link_slow
         hop_latency = self.hop_latency_s
-        epsilon = _EPSILON
-        horizon = _PRUNE_HORIZON
+        clock = self.clock
+        floor = 0.0 if clock is None else clock.now - FLOOR_MARGIN
 
         head_time = now
         queueing = 0.0
@@ -152,65 +145,13 @@ class ElectricalMesh(Interconnect):
                 y += 1 if dest_y > y else -1
             next_node = y * radix + x
             link_key = node * num_clusters + next_node
-            resource = resources[link_key]
-            if link_slow is None:
-                hop_serialization = serialization
-            else:
+            if link_slow is not None:
                 # Partially dead link: survivors carry the message at a
                 # fraction of the bandwidth (degraded, never severed).
                 hop_serialization = serialization * link_slow.get(link_key, 1.0)
-
-            if head_time > resource._high_water_request:
-                resource._high_water_request = head_time
-            prune_before = resource._high_water_request - horizon
-            starts = resource._starts[0]
-            ends = resource._ends[0]
-            if prune_before > 0 and ends and ends[0] <= prune_before:
-                cut = bisect_right(ends, prune_before)
-                del ends[:cut]
-                del starts[:cut]
-            # Earliest gap of `hop_serialization` seconds at or after head_time.
-            start = head_time
-            n = len(starts)
-            index = bisect_right(ends, start)
-            while index < n:
-                if start + hop_serialization <= starts[index] + epsilon:
-                    break
-                interval_end = ends[index]
-                if interval_end > start:
-                    start = interval_end
-                index += 1
-            end = start + hop_serialization
-            if index >= n:
-                if n and ends[-1] >= start - epsilon:
-                    if end > ends[-1]:
-                        ends[-1] = end
-                else:
-                    starts.append(start)
-                    ends.append(end)
-            else:
-                # Interior commit at the position the gap search already
-                # found (SerialResource._insert with a known index).
-                if index > 0 and ends[index - 1] >= start - epsilon:
-                    merged = index - 1
-                    if end > ends[merged]:
-                        ends[merged] = end
-                else:
-                    starts.insert(index, start)
-                    ends.insert(index, end)
-                    merged = index
-                following = merged + 1
-                while (
-                    following < len(starts)
-                    and starts[following] <= ends[merged] + epsilon
-                ):
-                    if ends[following] > ends[merged]:
-                        ends[merged] = ends[following]
-                    del starts[following]
-                    del ends[following]
-            resource.busy_time += hop_serialization
-            resource.reservations += 1
-
+            start = reserve_interval(
+                resources[link_key], head_time, hop_serialization, floor
+            )
             queueing += start - head_time
             # Head flit crosses this hop; body/tail pipeline behind it.
             head_time = start + hop_latency

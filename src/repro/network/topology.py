@@ -83,6 +83,7 @@ class Interconnect(abc.ABC):
         "messages_sent",
         "bytes_sent",
         "total_dynamic_energy_j",
+        "clock",
     )
 
     def __init__(self, name: str, num_clusters: int, clock_hz: float) -> None:
@@ -96,6 +97,11 @@ class Interconnect(abc.ABC):
         self.messages_sent = 0
         self.bytes_sent = 0.0
         self.total_dynamic_energy_j = 0.0
+        #: The replay's simulator while one runs (anything with a ``now``),
+        #: else ``None``.  Every transfer is made at or after ``clock.now``,
+        #: which lets reservations drop intervals that ended before it (see
+        #: :func:`repro.sim.resources.reserve_interval`).
+        self.clock = None
 
     @property
     def cycle_time(self) -> float:

@@ -12,6 +12,22 @@ it stays accurate even when reservations are requested slightly out of time
 order (for example a data-return reserved 20 ns ahead of commands that arrive
 in between).
 
+Every single-server reservation -- :meth:`SerialResource.reserve`, mesh
+hops, DRAM banks and controller channels -- runs through one gap search,
+:func:`reserve_interval`.  It forgets committed intervals in two ways:
+
+* the *prune horizon*: intervals that ended :data:`_PRUNE_HORIZON` before
+  the resource's newest request are dropped.  This is a modelling bound --
+  it assumes no request trails the newest one by that much.
+* the *clock floor*: during a replay every request is made at or after the
+  simulated clock, so the caller passes the clock minus
+  :data:`FLOOR_MARGIN` as a floor.  An interval that ends before it lies
+  below every future candidate start (the gap search's ``bisect_right``
+  skips it) and more than :data:`_EPSILON` below it (it cannot coalesce
+  with a new reservation), so dropping it is exact.  Interval lists then
+  hold only live reservations, and per-request cost stays flat however
+  long the replay runs.
+
 :class:`BoundedQueue` adds finite capacity (back-pressure) on top, and
 :class:`TokenPool` models a counted resource such as MSHRs.  Both keep their
 outstanding departure/release times in a sorted list and share
@@ -31,8 +47,22 @@ _EPSILON = 1e-15
 #: Committed intervals that ended this long before the newest request time are
 #: dropped.  Future reservation requests may be out of order with respect to
 #: past ones by at most the latency of an in-flight transaction, which is far
-#: below this horizon in every Corona configuration.
+#: below this horizon in every Corona configuration.  The horizon bounds
+#: memory outside a replay; inside one, the clock floor of
+#: :func:`reserve_interval` prunes further, and exactly, on top of it.
 _PRUNE_HORIZON = 5e-6
+
+#: Distance of the clock floor below the replay clock.  It must exceed
+#: ``_EPSILON``: an interval that ends before ``clock - FLOOR_MARGIN`` then
+#: ends more than ``_EPSILON`` before any request made at or after the clock,
+#: so it can neither delay that request nor coalesce with it.
+FLOOR_MARGIN = 1e-12
+
+#: A scan records a skip-window proof only when it crossed at least this
+#: many intervals.  Recording costs about as much as rescanning a few, so
+#: short scans -- the common case once the clock floor keeps interval lists
+#: short -- gain nothing from a proof; long rescans are what it prevents.
+_WINDOW_MIN_STEPS = 8
 
 
 def admission_time(times: List[float], now: float, capacity: int) -> float:
@@ -58,6 +88,113 @@ def resident_after(times: List[float], now: float) -> int:
     """Entries of the sorted ``times`` still outstanding after ``now``
     (non-mutating, for samplers)."""
     return len(times) - bisect.bisect_right(times, now)
+
+
+def _commit(
+    starts: List[float], ends: List[float], index: int, start: float, end: float
+) -> None:
+    """Insert ``[start, end)`` at ``index`` (``bisect_left`` of ``start``) of
+    sorted interval lists, coalescing neighbours within ``_EPSILON``."""
+    if index and ends[index - 1] >= start - _EPSILON:
+        index -= 1
+        if end > ends[index]:
+            ends[index] = end
+    else:
+        starts.insert(index, start)
+        ends.insert(index, end)
+    following = index + 1
+    while following < len(starts) and starts[following] <= ends[index] + _EPSILON:
+        if ends[following] > ends[index]:
+            ends[index] = ends[following]
+        del starts[following]
+        del ends[following]
+
+
+def reserve_interval(
+    resource: "SerialResource", now: float, duration: float, floor: float = 0.0
+) -> float:
+    """Reserve ``duration`` seconds of single-server ``resource`` in the
+    earliest free gap at or after ``now``; return the reservation's start.
+
+    ``floor`` promises that no request to this resource will ever be made
+    before it; a replay passes its clock minus :data:`FLOOR_MARGIN`, and
+    callers outside a replay leave it at 0.0 (no floor).  Committed
+    intervals that end by ``max(newest request - _PRUNE_HORIZON, floor)``
+    are dropped first.  Raises :class:`ValueError` for a request before the
+    floor, which would void the promise.
+    """
+    if now < floor:
+        raise ValueError(f"request at {now} precedes the clock floor {floor}")
+    if now > resource._high_water_request:
+        resource._high_water_request = now
+    expire = resource._high_water_request - _PRUNE_HORIZON
+    if floor > expire:
+        expire = floor
+    starts = resource._starts[0]
+    ends = resource._ends[0]
+    resource.busy_time += duration
+    resource.reservations += 1
+    if expire > 0 and ends and ends[0] <= expire:
+        # Proofs of the skip window past the expiry point only involve
+        # surviving intervals; the ones below it are void.
+        if resource._skip_lo < expire:
+            resource._skip_lo = expire
+        if ends[-1] <= expire:
+            # Everything committed has expired (the common case under a
+            # clock floor): nothing can delay or coalesce with the request.
+            starts.clear()
+            ends.clear()
+            starts.append(now)
+            ends.append(now + duration)
+            return now
+        cut = bisect.bisect_right(ends, expire)
+        del ends[:cut]
+        del starts[:cut]
+    candidate = now
+    if (
+        candidate < resource._skip_hi
+        and resource._skip_lo <= candidate
+        and duration >= resource._skip_len
+    ):
+        # Every gap starting in the window was already proven too short for
+        # this duration; resume the scan past it.
+        candidate = resource._skip_hi
+    index = first = bisect.bisect_right(ends, candidate)
+    n = len(starts)
+    while index < n:
+        if candidate + duration <= starts[index] + _EPSILON:
+            break
+        interval_end = ends[index]
+        if interval_end > candidate:
+            candidate = interval_end
+        index += 1
+    steps = index - first
+    if steps:
+        resource.scan_steps += steps
+    if steps >= _WINDOW_MIN_STEPS and candidate > now:
+        if now > resource._skip_hi:
+            # Scans move forward in time: a proof ahead of the old window
+            # replaces it.
+            resource._skip_lo = now
+            resource._skip_hi = candidate
+            resource._skip_len = duration
+        else:
+            resource._merge_skip_window(now, candidate, duration)
+    end = candidate + duration
+    if index < n:
+        if starts[index] < candidate or (index and starts[index - 1] >= candidate):
+            # Only zero-length or sub-_EPSILON intervals get here: use
+            # the bisect_left position, as every other commit does.
+            index = bisect.bisect_left(starts, candidate)
+        _commit(starts, ends, index, candidate, end)
+    elif n and ends[-1] >= candidate - _EPSILON:
+        # Tail commit, contiguous with the last interval.
+        if end > ends[-1]:
+            ends[-1] = end
+    else:
+        starts.append(candidate)
+        ends.append(end)
+    return candidate
 
 
 class SerialResource:
@@ -103,7 +240,7 @@ class SerialResource:
         # duration >= _skip_len starting inside the window may jump straight
         # to _skip_hi.  Sound because committed intervals only shrink gaps;
         # pruning -- the one operation that merges gaps -- advances _skip_lo
-        # past the merged region (see reserve/next_available).
+        # to the pruning point (see reserve_interval and _prune).
         self._skip_lo: float = 0.0
         self._skip_hi: float = 0.0
         self._skip_len: float = 0.0
@@ -116,6 +253,8 @@ class SerialResource:
         if index:
             del ends[:index]
             del starts[:index]
+            if self._skip_lo < before:
+                self._skip_lo = before
 
     def _find_gap(self, server: int, now: float, duration: float) -> float:
         """Earliest start >= ``now`` of a free gap of ``duration`` on ``server``."""
@@ -133,11 +272,13 @@ class SerialResource:
         return candidate
 
     # -- proven-gap window (single-server backfill scan) ---------------------
-    def _record_skip_window(self, lo: float, hi: float, duration: float) -> None:
-        """A scan for ``duration`` just advanced from ``lo`` to ``hi``: every
-        free gap starting in ``[lo, hi)`` is too short for ``duration``
-        (gap adequacy is monotone in the candidate position, so positions
-        between visited interval ends are covered too)."""
+    def _merge_skip_window(self, lo: float, hi: float, duration: float) -> None:
+        """A scan for ``duration`` just advanced from ``lo`` to ``hi``, with
+        ``lo`` at or before the end of the current window: every free gap
+        starting in ``[lo, hi)`` is too short for ``duration`` (gap adequacy
+        is monotone in the candidate position, so positions between visited
+        interval ends are covered too).  A proof ahead of the window simply
+        replaces it (see :func:`reserve_interval`)."""
         old_lo, old_hi, old_len = self._skip_lo, self._skip_hi, self._skip_len
         if old_hi <= old_lo:
             # No live window.
@@ -145,86 +286,24 @@ class SerialResource:
         elif lo >= old_lo and hi <= old_hi and duration >= old_len:
             # Already covered by a claim at least as strong.
             return
-        elif lo <= old_hi and old_lo <= hi:
+        elif old_lo <= hi:
             # Overlapping/adjacent: merge.  The union holds only for
             # durations covered by both claims, hence the max.
             self._skip_lo = old_lo if old_lo < lo else lo
             self._skip_hi = old_hi if old_hi > hi else hi
             self._skip_len = old_len if old_len > duration else duration
-        elif hi > old_hi:
-            # Disjoint and ahead of the old window: scans move forward in
-            # time, so the newer window is the useful one.
-            self._skip_lo, self._skip_hi, self._skip_len = lo, hi, duration
-
-    def _prune_skip_window(self, starts: List[float]) -> None:
-        """Pruning merged every gap before the (new) first interval into one
-        open stretch, voiding proofs there; claims at or beyond the first
-        remaining interval's start are untouched by deleting earlier ones."""
-        if starts:
-            if self._skip_lo < starts[0]:
-                self._skip_lo = starts[0]
-        else:
-            self._skip_hi = self._skip_lo  # empty timeline: no proofs survive
-
-    def _insert(self, server: int, start: float, end: float) -> None:
-        starts = self._starts[server]
-        ends = self._ends[server]
-        # Tail fast path: most reservations are requested roughly in time
-        # order, so they land after every committed interval.
-        if not starts:
-            starts.append(start)
-            ends.append(end)
-            return
-        if start > starts[-1]:
-            if ends[-1] >= start - _EPSILON:
-                if end > ends[-1]:
-                    ends[-1] = end
-            else:
-                starts.append(start)
-                ends.append(end)
-            return
-        index = bisect.bisect_left(starts, start)
-        # Coalesce with the previous interval when contiguous.
-        if index > 0 and ends[index - 1] >= start - _EPSILON:
-            ends[index - 1] = max(ends[index - 1], end)
-            merged_index = index - 1
-        else:
-            starts.insert(index, start)
-            ends.insert(index, end)
-            merged_index = index
-        # Coalesce with following intervals swallowed by the new one.
-        next_index = merged_index + 1
-        while next_index < len(starts) and starts[next_index] <= ends[merged_index] + _EPSILON:
-            ends[merged_index] = max(ends[merged_index], ends[next_index])
-            del starts[next_index]
-            del ends[next_index]
 
     # -- public API ------------------------------------------------------------
     def next_available(self, now: float) -> float:
         """Earliest time a zero-length reservation made at ``now`` could start.
 
-        Mirrors the pruned single-server fast path of :meth:`reserve`:
-        expired intervals (older than the prune horizon behind the newest
+        Expired intervals (older than the prune horizon behind the newest
         reservation request) are dropped first, and because committed
-        intervals are kept disjoint by :meth:`_insert`'s coalescing, a single
-        bisect answers the query -- ``now`` itself when no interval covers
-        it, otherwise the covering interval's end.  Long-running replays
-        previously paid a scan over every interval ever committed on
-        resources queried through :meth:`queue_delay` but rarely reserved.
+        intervals are kept disjoint by :func:`_commit`'s coalescing, a single
+        bisect per server answers the query -- ``now`` itself when no
+        interval covers it, otherwise the covering interval's end.
         """
         prune_before = self._high_water_request - _PRUNE_HORIZON
-        if self.servers == 1:
-            starts = self._starts[0]
-            ends = self._ends[0]
-            if prune_before > 0 and ends and ends[0] <= prune_before:
-                cut = bisect.bisect_right(ends, prune_before)
-                del ends[:cut]
-                del starts[:cut]
-                self._prune_skip_window(starts)
-            index = bisect.bisect_right(ends, now)
-            if index >= len(starts) or now <= starts[index] + _EPSILON:
-                return now
-            return ends[index]
         best = None
         for server in range(self.servers):
             if prune_before > 0:
@@ -249,57 +328,12 @@ class SerialResource:
         if now < 0:
             raise ValueError(f"time must be non-negative, got {now}")
 
+        if self.servers == 1:
+            return reserve_interval(self, now, duration) + duration
+
         if now > self._high_water_request:
             self._high_water_request = now
         prune_before = self._high_water_request - _PRUNE_HORIZON
-
-        if self.servers == 1:
-            # Single-server fast path (links, channels, banks): prune only
-            # when something is actually expired, inline the gap search, and
-            # insert through the tail fast path of :meth:`_insert`.
-            starts = self._starts[0]
-            ends = self._ends[0]
-            if prune_before > 0 and ends and ends[0] <= prune_before:
-                cut = bisect.bisect_right(ends, prune_before)
-                del ends[:cut]
-                del starts[:cut]
-                self._prune_skip_window(starts)
-            candidate = now
-            index = bisect.bisect_right(ends, candidate)
-            if duration >= self._skip_len and self._skip_lo <= candidate < self._skip_hi:
-                # Every gap starting in the window was already proven too
-                # short for this duration; resume the scan past it.
-                candidate = self._skip_hi
-                index = bisect.bisect_right(ends, candidate)
-            n = len(starts)
-            steps = 0
-            while index < n:
-                if candidate + duration <= starts[index] + _EPSILON:
-                    break
-                interval_end = ends[index]
-                if interval_end > candidate:
-                    candidate = interval_end
-                index += 1
-                steps += 1
-            self.scan_steps += steps
-            if candidate > now:
-                self._record_skip_window(now, candidate, duration)
-            end = candidate + duration
-            if index >= n:
-                # Tail commit, inlined: the reservation lands at or after the
-                # last committed interval.
-                if n and ends[-1] >= candidate - _EPSILON:
-                    if end > ends[-1]:
-                        ends[-1] = end
-                else:
-                    starts.append(candidate)
-                    ends.append(end)
-            else:
-                self._insert(0, candidate, end)
-            self.busy_time += duration
-            self.reservations += 1
-            return end
-
         best_server = 0
         best_start = None
         for server in range(self.servers):
@@ -312,7 +346,9 @@ class SerialResource:
                 if start <= now + _EPSILON:
                     break
         end = best_start + duration
-        self._insert(best_server, best_start, end)
+        starts = self._starts[best_server]
+        index = bisect.bisect_left(starts, best_start)
+        _commit(starts, self._ends[best_server], index, best_start, end)
         self.busy_time += duration
         self.reservations += 1
         return end

@@ -371,6 +371,7 @@ class PackedTraceBuilder:
         "arrival_process",
         "offered_rps",
         "_thread_ids",
+        "_seen_threads",
         "_offsets",
         "_meta",
         "_addresses",
@@ -394,6 +395,8 @@ class PackedTraceBuilder:
         self.num_clusters = num_clusters
         self.threads_per_cluster = threads_per_cluster
         self._thread_ids = array("q")
+        #: Membership view of ``_thread_ids`` for the contiguity check.
+        self._seen_threads: set = set()
         self._offsets = array("q", [0])
         self._meta = array("Q")
         self._addresses = array("Q")
@@ -412,7 +415,7 @@ class PackedTraceBuilder:
     ) -> None:
         """Append one record to the current (or a new) thread segment."""
         if thread_id != self._current_thread:
-            if thread_id in self._thread_ids:
+            if thread_id in self._seen_threads:
                 raise ValueError(
                     f"thread {thread_id} appended non-contiguously"
                 )
@@ -423,6 +426,7 @@ class PackedTraceBuilder:
                     f"{self.num_clusters} clusters"
                 )
             self._thread_ids.append(thread_id)
+            self._seen_threads.add(thread_id)
             self._offsets.append(self._offsets[-1])
             self._current_thread = thread_id
         if gap_cycles < 0:

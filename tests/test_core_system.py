@@ -1,10 +1,12 @@
 """Integration tests for the trace-driven system simulator."""
 
+import gc
 import time
 
 import pytest
 
 from repro.api import build_workload
+from repro.coherence import CoherenceConfig
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
 from repro.trace.packed import generate_packed_trace
@@ -281,3 +283,58 @@ class TestReplayScaling:
         assert growth <= self.MAX_COST_GROWTH, (
             f"host s/request grew {growth:.2f}x from 1,500 to 6,000 requests"
         )
+
+    #: Longest interval list a mesh link, controller channel or DRAM bank
+    #: may hold after a 3,000-request Uniform replay.  The clock floor keeps
+    #: only live reservations (about 20 at most); horizon-only pruning kept
+    #: 78-95 here, and hundreds on longer traces.
+    MAX_INTERVALS = 32
+
+    @staticmethod
+    def _interval_lists(simulator):
+        resources = list(getattr(simulator.network, "_link_resources", {}).values())
+        for controller in simulator.memory.controllers.values():
+            resources += [controller._outbound, controller._inbound]
+            for module in controller.modules:
+                for die in module.dies:
+                    resources += [bank._resource for bank in die.banks]
+        return [len(resource._ends[0]) for resource in resources]
+
+    @pytest.mark.parametrize("name", ["XBar/OCM", "LMesh/ECM"])
+    def test_interval_lists_hold_only_live_reservations(self, name):
+        """Uniform never overflows admission, so every interval older than
+        the replay clock is dead history that the clock floor drops."""
+        trace = generate_packed_trace(
+            build_workload("Uniform"), seed=1, num_requests=3_000
+        )
+        simulator = SystemSimulator(configuration_by_name(name))
+        simulator.run(trace)
+        longest = max(self._interval_lists(simulator))
+        assert longest <= self.MAX_INTERVALS, (
+            f"{name}: an interval list holds {longest} intervals"
+        )
+
+
+class TestReplayLeavesNoGarbage:
+    @pytest.mark.parametrize("coherent", [False, True])
+    @pytest.mark.parametrize("name", ["XBar/OCM", "LMesh/ECM"])
+    def test_finished_simulator_is_freed_without_the_cyclic_gc(
+        self, name, coherent
+    ):
+        """A finished simulator holds no reference cycle, so reference
+        counting frees it and the cyclic collector finds nothing."""
+        trace = generate_packed_trace(
+            build_workload("Uniform"), seed=1, num_requests=500
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            simulator = SystemSimulator(
+                configuration_by_name(name),
+                coherence=CoherenceConfig() if coherent else None,
+            )
+            simulator.run(trace)
+            del simulator
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
@@ -14,7 +14,14 @@ from repro.network.message import Message, MessageType
 from repro.network.topology import MeshCoordinates
 from repro.photonics.inventory import corona_inventory
 from repro.sim.engine import Simulator
-from repro.sim.resources import BoundedQueue, SerialResource, TokenPool
+from repro.sim.resources import (
+    _EPSILON,
+    FLOOR_MARGIN,
+    BoundedQueue,
+    SerialResource,
+    TokenPool,
+    reserve_interval,
+)
 from repro.sim.stats import RunningStats, geometric_mean
 from repro.trace.synthetic import tornado_destination, transpose_destination
 
@@ -70,6 +77,98 @@ class TestResourceProperties:
             pool.release_at(grant + 1e-7 + rng.random() * 1e-7)
             assert grant >= now
             assert pool.in_use(grant) <= tokens
+
+
+class _NaiveIntervals:
+    """Reference single-server gap search over every interval ever committed:
+    no prune horizon, no clock floor, no skip window."""
+
+    def __init__(self):
+        self.intervals = []  # sorted, coalesced (start, end)
+
+    def reserve(self, now, duration):
+        candidate = now
+        for start, end in self.intervals:
+            if end <= candidate:
+                continue
+            if candidate + duration <= start + _EPSILON:
+                break
+            candidate = end
+        merged = []
+        for start, end in sorted(self.intervals + [(candidate, candidate + duration)]):
+            if merged and start <= merged[-1][1] + _EPSILON:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        self.intervals = merged
+        return candidate
+
+
+_NS = 1e-9
+
+
+class TestReservationKernelProperties:
+    """:func:`reserve_interval` under a clock floor grants exactly the starts
+    of a gap search that never forgets an interval.  Requests sit on a
+    nanosecond grid (ties are common), land up to 24 ns ahead of the clock
+    (backfill), may sit a fraction of ``_EPSILON`` past an interval end
+    (coalescing) or well past it, and the clock sometimes leaps beyond the
+    prune horizon (the everything-expired fast path)."""
+
+    @seed(20080623)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0, 0, 1, 2, 7, 6_000)),  # clock advance, ns
+                st.integers(min_value=0, max_value=24),  # request offset, ns
+                st.sampled_from((0.0, 0.4 * _EPSILON, 3 * _EPSILON)),
+                st.sampled_from((0.0, 0.5, 1.0, 3.0, 8.0)),  # duration, ns
+                st.integers(min_value=0, max_value=9),  # 0: before the floor
+            ),
+            max_size=120,
+        )
+    )
+    # An interval ending exactly at the clock must survive the floor: a
+    # request a fraction of _EPSILON later coalesces with it, and the merged
+    # start decides whether a zero-length request at the clock waits.
+    @example([(0, 0, 0.0, 1.0, 1), (1, 0, 0.4 * _EPSILON, 1.0, 1), (0, 0, 0.0, 0.0, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_with_floor_matches_never_pruned_reference(self, ops):
+        resource = SerialResource("link")
+        reference = _NaiveIntervals()
+        clock = 0
+        for advance, offset, jitter, duration, late in ops:
+            clock += advance
+            floor = clock * _NS - FLOOR_MARGIN
+            if not late:
+                with pytest.raises(ValueError, match="precedes the clock floor"):
+                    reserve_interval(resource, floor - (offset + 1) * _NS, _NS, floor)
+                continue
+            now = (clock + offset) * _NS + jitter
+            expected = reference.reserve(now, duration * _NS)
+            assert reserve_interval(resource, now, duration * _NS, floor) == expected
+        assert resource.reservations == sum(1 for op in ops if op[4])
+
+    def test_skip_window_under_a_floor_matches_reference(self):
+        """A comb of 0.4 ns gaps that 0.5 ns requests cannot use: the skip
+        window carries the proof from one scan to the next while the floor
+        advances under it, and placements stay exact."""
+        resource = SerialResource("hot-link")
+        reference = _NaiveIntervals()
+        for tooth in range(200):
+            now = tooth * _NS
+            assert reserve_interval(resource, now, 0.6 * _NS) == reference.reserve(
+                now, 0.6 * _NS
+            )
+        first = resource.scan_steps
+        for step in range(100):
+            now = step * 0.5 * _NS
+            floor = now - FLOOR_MARGIN
+            assert reserve_interval(
+                resource, now, 0.5 * _NS, floor
+            ) == reference.reserve(now, 0.5 * _NS)
+        # One scan over the comb, then the window skips it.
+        assert resource.scan_steps - first < 200 + 5 * 100
 
 
 #: Whole-number instants: small enough that ties between departures, and

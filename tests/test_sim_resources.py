@@ -440,6 +440,27 @@ class TestBackfillScanIndex:
                 now, duration
             )
 
+    def test_zero_length_request_inside_epsilon_keeps_interval_start(self):
+        # A zero-length request a fraction of _EPSILON after an interval's
+        # start fits "before" it and coalesces into it.  The interval must
+        # keep its own start, or a later request that only just misses the
+        # gap before it would be let in.
+        resource = SerialResource("link")
+        reference = _NaiveSerialReference()
+        for now, duration in ((1e-9, 1e-9), (1e-9 + 0.4e-15, 0.0), (0.0, 1e-9 + 1.2e-15)):
+            assert resource.reserve(now, duration) == reference.reserve(now, duration)
+
+    def test_pruning_voids_the_window_below_it(self):
+        # A 0.5 ns scan proves the comb's gaps too short; a request 6 us later
+        # expires the whole comb.  A 0.5 ns request back at 0 must then see
+        # the empty timeline, not the stale proof.
+        resource = SerialResource("link")
+        for i in range(10):
+            resource.reserve(i * 1e-9, 0.6e-9)
+        resource.reserve(0.0, 0.5e-9)
+        resource.reserve(6e-6, 1e-9)
+        assert resource.reserve(0.0, 0.5e-9) == pytest.approx(0.5e-9)
+
     def test_reset_clears_scan_state(self):
         resource = SerialResource("link")
         for i in range(50):
