@@ -1,8 +1,8 @@
 """Benchmarks of the parallel evaluation harness.
 
 Measures the wall-clock of a reduced (configuration x workload) matrix run
-serially and through the :class:`~repro.harness.parallel.
-ParallelEvaluationRunner`, plus the trace-shipping overhead of the pool path
+through the :class:`~repro.harness.parallel.ParallelEvaluationRunner` in
+process (``jobs=1``) and over its worker pool, plus the trace-shipping overhead of the pool path
 (packed traces shipped once per workload through shared memory; workers
 receive a ~100-byte handle per pair instead of a pickled record-object
 trace).  The reduced matrix keeps the suite fast while still exercising
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.harness.experiments import EvaluationMatrix, ExperimentScale
 from repro.harness.parallel import ParallelEvaluationRunner, available_cpus
-from repro.harness.runner import EvaluationRunner
 
 #: Small but non-trivial: 2 configurations x the 4 synthetic workloads.
 _BENCH_SCALE = ExperimentScale(synthetic_requests=3_000)
@@ -36,7 +35,7 @@ def _bench_matrix() -> EvaluationMatrix:
 
 
 def _run_serial():
-    runner = EvaluationRunner(matrix=_bench_matrix())
+    runner = ParallelEvaluationRunner(matrix=_bench_matrix(), jobs=1)
     return runner.run()
 
 

@@ -33,7 +33,7 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.runner import EvaluationRunner
+from repro.harness.parallel import ParallelEvaluationRunner
 from repro.harness.tables import render_all_tables
 
 
@@ -79,7 +79,7 @@ def main(argv=None) -> None:
           f"({len(matrix.configurations())} configurations x "
           f"{len(matrix.workloads())} workloads)...\n")
 
-    runner = EvaluationRunner(matrix=matrix, progress=print)
+    runner = ParallelEvaluationRunner(matrix=matrix, jobs=1, progress=print)
     results = runner.run()
     order = matrix.workload_names()
 

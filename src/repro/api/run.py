@@ -32,6 +32,7 @@ from repro.core.results import (
 )
 from repro.faults import FaultSpec
 from repro.harness.experiments import ExperimentScale
+from repro.harness.parallel import ParallelEvaluationRunner
 from repro.obs.spec import ObservabilitySpec
 from repro.harness.report import ReproductionReport
 from repro.harness.resilience import PairFailure, RetryPolicy
@@ -43,7 +44,7 @@ RESULTS_FORMAT = "corona-results/1"
 class ScenarioMatrix:
     """A scenario resolved into the evaluation-matrix protocol.
 
-    Implements the interface :class:`~repro.harness.runner.EvaluationRunner`,
+    Implements the interface
     :class:`~repro.harness.parallel.ParallelEvaluationRunner` and
     :class:`~repro.harness.report.ReproductionReport` consume (``scale``,
     ``coherence``, ``corona_config``, ``configuration_names``,
@@ -376,35 +377,22 @@ def run(
             label="run",
         )
     started = time.perf_counter()
-    if effective_jobs == 1:
-        from repro.harness.runner import EvaluationRunner
-
-        runner = EvaluationRunner(
-            matrix=matrix,
-            progress=progress,
-            on_result=on_result,
-            policy=policy,
-            heartbeat=heartbeat,
-        )
-    else:
-        from repro.harness.parallel import ParallelEvaluationRunner
-
-        runner = ParallelEvaluationRunner(
-            matrix=matrix,
-            jobs=effective_jobs,
-            progress=progress,
-            on_result=on_result,
-            setup_modules=tuple(scenario.modules),
-            policy=policy,
-            heartbeat=heartbeat,
-        )
+    runner = ParallelEvaluationRunner(
+        matrix=matrix,
+        jobs=effective_jobs,
+        progress=progress,
+        on_result=on_result,
+        setup_modules=tuple(scenario.modules),
+        policy=policy,
+        heartbeat=heartbeat,
+    )
     try:
         runner.run()
     finally:
         if heartbeat is not None:
             heartbeat.finish()
     wall_clock = time.perf_counter() - started
-    failures = list(getattr(runner, "failures", []) or [])
+    failures = list(runner.failures)
     report_results = list(runner.results)
     if failures:
         # Partial matrix: figures normalize per workload against a baseline
@@ -426,12 +414,10 @@ def run(
         wall_clock_seconds=runner.total_wall_clock_seconds(),
     )
     timings: Dict[str, object] = {}
-    phases = dict(getattr(runner, "phase_seconds", None) or {})
-    if phases:
-        timings["phases"] = phases
-    workers = dict(getattr(runner, "worker_seconds", None) or {})
-    if workers:
-        timings["workers"] = workers
+    if runner.phase_seconds:
+        timings["phases"] = dict(runner.phase_seconds)
+    if runner.worker_seconds:
+        timings["workers"] = dict(runner.worker_seconds)
     if runner.run_seconds:
         timings["pairs"] = [
             {"configuration": pair[0], "workload": pair[1], "seconds": seconds}

@@ -2,7 +2,7 @@
 
 Each ``figure*`` function consumes the list of
 :class:`~repro.core.results.WorkloadResult` produced by the
-:class:`~repro.harness.runner.EvaluationRunner` and returns
+:class:`~repro.harness.parallel.ParallelEvaluationRunner` and returns
 ``{workload: {configuration: value}}`` in the paper's plot order.
 ``render_figure`` draws a grouped horizontal bar chart in plain text, and
 ``speedup_summary`` reproduces the geometric-mean claims of Section 5.

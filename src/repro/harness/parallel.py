@@ -42,21 +42,20 @@ the run.
 
 Determinism and equivalence
 ---------------------------
-Results are bit-identical to the serial
-:class:`~repro.harness.runner.EvaluationRunner`:
+:class:`ParallelEvaluationRunner` is the only matrix executor: ``jobs=1``
+(or a single-CPU host) replays in process with no pool and no shipping,
+through the same :func:`_fan_out_pairs` as the pool and the sweeps, so
+retries, chaos, strictness and timings follow one contract on every path.
+Results are bit-identical for every ``jobs`` value:
 
 * Trace generation happens once per workload **in the parent** (same seed,
   same generator state) and workers replay exactly those packed columns.
-* Each worker constructs a fresh ``SystemSimulator`` from the configuration
-  name -- exactly what ``EvaluationRunner.run_pair`` does -- so no state
-  leaks between pairs in either runner, and a retried pair reproduces its
+* Each pair constructs a fresh ``SystemSimulator`` from the configuration
+  name, so no state leaks between pairs, and a retried pair reproduces its
   first attempt exactly.
 * Results are collected in submission order (workloads outer, configurations
-  inner), which is the serial runner's iteration order, so ``results`` lists
-  compare equal element by element even when completions arrive out of order.
-
-``jobs=1`` (or a single-CPU host) falls back to an in-process loop with no
-pool and no shipping, still producing the same results.
+  inner), so ``results`` lists compare equal element by element even when
+  completions arrive out of order.
 """
 
 from __future__ import annotations
@@ -337,16 +336,16 @@ def _replay_pair(
     modules: Sequence[str] = (),
     faults: Optional[FaultSpec] = None,
     observability: Optional[ObservabilitySpec] = None,
-) -> Tuple[WorkloadResult, float]:
+) -> Tuple[WorkloadResult, float, float]:
     """Worker body: replay one (configuration, workload) pair.
 
     Module-level so it pickles under every multiprocessing start method.
     ``trace`` is either an in-memory trace (in-process path) or a shipment
-    handle resolved against this worker's cache.  Returns the result plus
-    the replay wall-clock seconds measured in the worker.  ``coherence`` (a
-    picklable frozen dataclass) enables the timed MOESI directory in the
-    worker's simulator, so coherence statistics flow through the parallel
-    path exactly as through the serial one; ``corona_config`` likewise ships
+    handle resolved against this worker's cache.  Returns the result, the
+    replay wall-clock seconds measured in the worker and the seconds spent
+    writing telemetry artifacts (the runner's ``sink_write`` phase).
+    ``coherence`` (a picklable frozen dataclass) enables the timed MOESI
+    directory in the worker's simulator; ``corona_config`` likewise ships
     scenario system overrides and ``faults`` the scenario's deterministic
     fault spec.  ``configuration_name`` resolves through the Scenario API
     registry (seeded with the five paper systems), with ``modules`` imported
@@ -355,9 +354,9 @@ def _replay_pair(
     ``observability`` (when active) is a *pair-resolved*
     :class:`~repro.obs.spec.ObservabilitySpec` -- its sink paths were
     already specialized for this pair in the parent -- so the worker writes
-    the metrics/timeline artifacts directly and the outcome shape stays
-    ``(result, seconds)``.  The artifact write happens after the replay
-    timer stops, so telemetry never pollutes the recorded replay seconds.
+    the metrics/timeline artifacts directly; no sample arrays travel back.
+    The artifact write happens after the replay timer stops, so telemetry
+    never pollutes the recorded replay seconds.
     """
     configuration = _resolve_configuration(configuration_name, modules)
     trace = _resolve_trace(trace)
@@ -372,9 +371,12 @@ def _replay_pair(
     started = time.perf_counter()
     result = simulator.run(trace)
     seconds = time.perf_counter() - started
+    sink_seconds = 0.0
     if observability is not None and observability.simulation_active:
-        write_pair_artifacts(simulator, configuration_name, result.workload)
-    return result, seconds
+        _written, sink_seconds = write_pair_artifacts(
+            simulator, configuration_name, result.workload
+        )
+    return result, seconds, sink_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +395,21 @@ class _RawFailure(NamedTuple):
     payload: object
 
 
+class _Outcome(NamedTuple):
+    """One pair's fate as every fan-out yields it, in submission order.
+
+    ``result`` is None and ``raw`` a :class:`_RawFailure` for a pair that
+    exhausted the policy's retries; ``attempts`` counts every try.
+    """
+
+    result: Optional[WorkloadResult]
+    seconds: float
+    sink_seconds: float
+    raw: Optional[_RawFailure]
+    attempts: int
+    worker: str
+
+
 def _raw_message(raw: _RawFailure) -> str:
     if isinstance(raw.payload, BaseException):
         return f"{type(raw.payload).__name__}: {raw.payload}"
@@ -400,22 +417,28 @@ def _raw_message(raw: _RawFailure) -> str:
 
 
 def _raise_strict(raw: _RawFailure, failure: PairFailure) -> None:
-    """Abort a strict (``allow_failures=False``) run for one failed pair."""
+    """Abort a strict (``allow_failures=False``) run for one failed pair.
+
+    A pair whose single attempt raised re-raises the original exception; a
+    pair that used any retry (or died without one) raises
+    :class:`PairFailureError` carrying its record, whichever path ran it.
+    """
     if raw.kind == "setup":
         # Re-raise clean: the remote traceback (pool internals plus the
         # worker's frames) adds nothing to this actionable message.
         raise WorkerSetupError(str(raw.payload)) from None
-    if isinstance(raw.payload, BaseException):
-        raise raw.payload
-    raise PairFailureError([failure])
+    cause = raw.payload if isinstance(raw.payload, BaseException) else None
+    if cause is not None and failure.attempts == 1:
+        raise cause
+    raise PairFailureError([failure]) from cause
 
 
 def _pool_worker(conn) -> None:
     """Worker loop: receive ``(index, attempt, args)`` tasks, send outcomes.
 
     Runs until the parent sends ``None`` or the pipe closes.  Outcomes are
-    ``(index, "ok", (result, seconds))`` or ``(index, kind, payload)`` where
-    ``kind`` is ``"setup"``/``"error"`` and ``payload`` the exception (or its
+    ``(index, "ok", (result, seconds, sink_seconds))`` or ``(index, kind,
+    payload)`` where ``kind`` is ``"setup"``/``"error"`` and ``payload`` the exception (or its
     rendering, when the exception does not pickle).  Crashes and hangs send
     nothing -- the parent detects them through the process sentinel and the
     per-pair deadline.
@@ -493,8 +516,8 @@ def _retire_worker(worker: _Worker, kill: bool = False) -> None:
 
 def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
                   policy: RetryPolicy):
-    """Supervised fan-out: yield ``(result, seconds, raw_failure, attempts,
-    worker_name)`` per pair, in submission order.
+    """Supervised fan-out: yield one :class:`_Outcome` per pair, in
+    submission order.
 
     The parent multiplexes worker pipes and process sentinels through
     ``multiprocessing.connection.wait``: a sentinel firing while its pipe is
@@ -503,7 +526,7 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
     respawned, and the pair retried).  Retries obey the policy's bounds and
     exponential backoff; pairs that stay broken yield a :class:`_RawFailure`
     instead of a result.  Completions arriving out of submission order are
-    buffered so the yield order matches the serial runner exactly.
+    buffered so the yield order matches the in-process loop exactly.
     """
     ctx = multiprocessing.get_context()
     workers: List[_Worker] = [_spawn_worker(ctx) for _ in range(jobs)]
@@ -513,7 +536,7 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
     #: Min-heap of ``(eligible_at, index, attempt, args)`` backoff retries.
     retry_heap: list = []
     #: Buffered out-of-order outcomes, keyed by submission index.
-    outcomes: Dict[int, tuple] = {}
+    outcomes: Dict[int, _Outcome] = {}
     next_emit = 0
 
     def record_failure(index: int, attempt: int, args, kind: str,
@@ -526,8 +549,8 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
             eligible = time.monotonic() + policy.retry_delay_s(attempt + 1)
             heappush(retry_heap, (eligible, index, attempt + 1, args))
         else:
-            outcomes[index] = (
-                None, 0.0, _RawFailure(kind, payload), attempt + 1,
+            outcomes[index] = _Outcome(
+                None, 0.0, 0.0, _RawFailure(kind, payload), attempt + 1,
                 worker_name,
             )
 
@@ -640,10 +663,8 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
                     worker.deadline = None
                     _index, kind, payload = message
                     if kind == "ok":
-                        result, seconds = payload
-                        outcomes[index] = (
-                            result, seconds, None, attempt + 1,
-                            worker.process.name,
+                        outcomes[index] = _Outcome(
+                            *payload, None, attempt + 1, worker.process.name
                         )
                     else:
                         record_failure(
@@ -687,37 +708,34 @@ def _pool_fan_out(pairs: Iterable[tuple], jobs: int, count: int,
 
 
 def _serial_fan_out(pairs: Iterable[tuple], policy: RetryPolicy):
-    """In-process fan-out with the same outcome shape as the pool.
+    """In-process fan-out with the same outcomes as the pool.
 
-    Crashes and hangs cannot occur in-process; deterministic errors follow
-    the policy's ``retry_errors``/``allow_failures`` treatment (``timeout_s``
-    is ignored -- a replay cannot be preempted from its own thread).
+    Crashes and hangs cannot occur in-process; errors follow the policy's
+    ``retry_errors`` treatment and, once retries are exhausted, are yielded
+    as raw failures for the caller's strictness check (``timeout_s`` is
+    ignored -- a replay cannot be preempted from its own thread).
     """
     for index, args in enumerate(pairs):
         attempt = 0
         while True:
             try:
                 _chaos.maybe_sabotage(index, attempt, in_process=True)
-                result, seconds = _replay_pair(*args)
-            except WorkerSetupError:
-                raise
+                replayed = _replay_pair(*args)
+            except WorkerSetupError as exc:
+                raw = _RawFailure("setup", str(exc))
             except Exception as exc:  # noqa: BLE001 - policy decides
-                if attempt < policy.retries_for("error"):
-                    delay = policy.retry_delay_s(attempt + 1)
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                if policy.allow_failures:
-                    yield (
-                        None, 0.0, _RawFailure("error", exc), attempt + 1,
-                        "in-process",
-                    )
-                    break
-                raise
+                raw = _RawFailure("error", exc)
             else:
-                yield (result, seconds, None, attempt + 1, "in-process")
+                yield _Outcome(*replayed, None, attempt + 1, "in-process")
                 break
+            if attempt < policy.retries_for(raw.kind):
+                attempt += 1
+                delay = policy.retry_delay_s(attempt)
+                if delay > 0:
+                    time.sleep(delay)
+                continue
+            yield _Outcome(None, 0.0, 0.0, raw, attempt + 1, "in-process")
+            break
 
 
 def _fan_out_pairs(
@@ -726,19 +744,19 @@ def _fan_out_pairs(
     count: int,
     policy: Optional[RetryPolicy] = None,
 ):
-    """Replay ``_replay_pair`` argument tuples, yielding
-    ``(result, seconds, raw_failure, attempts, worker_name)`` in submission
-    order.
+    """Replay ``_replay_pair`` argument tuples, yielding one
+    :class:`_Outcome` per pair in submission order.
 
     The single fan-out implementation behind both the matrix runner and
-    :func:`run_pairs`.  ``jobs`` <= 1 (after the caller clamps to the pair
-    count and available CPUs) runs in-process with no pool overhead.
+    :func:`run_pairs` (and so the sweeps), for every ``jobs`` value.
+    ``jobs`` <= 1 (after the caller clamps to the pair count and available
+    CPUs) runs in-process with no pool overhead.
     Otherwise the pairs are dispatched to the supervised pool *as the
     iterable produces them* -- lazy trace generation therefore overlaps the
     earliest replays -- and results are collected in submission order,
-    bit-identical to the serial loop.  ``raw_failure`` is None for pairs
-    that succeeded (possibly after retries) and a :class:`_RawFailure` for
-    pairs that exhausted the policy's retries.
+    bit-identical to the in-process loop.  ``raw`` is None for pairs that
+    succeeded (possibly after retries) and a :class:`_RawFailure` for pairs
+    that exhausted the policy's retries; neither path raises for them.
     """
     if policy is None:
         policy = DEFAULT_POLICY
@@ -772,7 +790,7 @@ def run_pairs(
     matrix runner.  The optional trailing elements ship scenario system
     overrides, worker setup modules and the fault spec, exactly like the
     matrix runner's pair stream.  ``on_result`` receives each pair's result
-    the moment it is collected (submission = serial order) -- the streaming
+    the moment it is collected (in submission order) -- the streaming
     hook the sweep engine uses to checkpoint completed points as soon as
     their last pair lands.
 
@@ -816,9 +834,8 @@ def run_pairs(
                     packed_by_trace[id(trace)] = packed
                 calls.append((configuration_name, packed, *rest))
         outcomes = _fan_out_pairs(calls, effective, len(calls), policy)
-        for position, (result, seconds, raw, attempts, _worker) in enumerate(
-            outcomes
-        ):
+        for position, outcome in enumerate(outcomes):
+            result, seconds, _sink, raw, attempts, _worker = outcome
             if raw is None:
                 results.append(result)
                 if on_outcome is not None:
@@ -856,7 +873,8 @@ def run_pairs(
 
 @dataclass
 class ParallelEvaluationRunner:
-    """Runs every (configuration, workload) pair of a matrix in parallel.
+    """Runs every (configuration, workload) pair of a matrix, in process
+    (``jobs=1``) or over the supervised worker pool.
 
     Parameters
     ----------
@@ -867,10 +885,10 @@ class ParallelEvaluationRunner:
         ``1`` runs in-process without a pool.
     progress:
         Optional callback receiving one line per finished pair (reported in
-        serial order).
+        submission order).
     on_result:
         Optional callback receiving each pair's :class:`WorkloadResult` as
-        it completes (serial order) -- the Scenario API's streaming hook.
+        it completes (submission order) -- the Scenario API's streaming hook.
     setup_modules:
         Modules every worker imports before resolving configuration names
         (a scenario's ``modules`` list); required for user-registered
@@ -956,8 +974,8 @@ class ParallelEvaluationRunner:
 
     def _pair_stream(self, ship: bool, only_workload: Optional[str] = None):
         """Lazily yield ``(configuration_name, workload_name, trace, window,
-        coherence)`` in the serial runner's iteration order (workloads outer,
-        configurations inner).
+        coherence)`` in submission order (workloads outer, configurations
+        inner).
 
         Traces are generated (and shipped) as the stream is consumed, which
         is what lets generation overlap the replay of earlier workloads'
@@ -1022,6 +1040,7 @@ class ParallelEvaluationRunner:
 
         produced: List[WorkloadResult] = []
         replay_sum = 0.0
+        sink_sum = 0.0
         fan_started = time.perf_counter()
         outcomes = _fan_out_pairs(calls(), effective, count, policy)
         try:
@@ -1032,9 +1051,8 @@ class ParallelEvaluationRunner:
                 for workload in self.matrix.workloads():
                     if only_workload is None or workload.name == only_workload:
                         self._shipped(workload, fork_ok=True)
-            for position, (result, seconds, raw, attempts, worker) in enumerate(
-                outcomes
-            ):
+            for position, outcome in enumerate(outcomes):
+                result, seconds, sink_seconds, raw, attempts, worker = outcome
                 configuration_name, workload_name = submitted[position]
                 if raw is not None:
                     failure = PairFailure(
@@ -1059,6 +1077,7 @@ class ParallelEvaluationRunner:
                     continue
                 self.run_seconds[(configuration_name, workload_name)] = seconds
                 replay_sum += seconds
+                sink_sum += sink_seconds
                 if worker:
                     self.worker_seconds[worker] = (
                         self.worker_seconds.get(worker, 0.0) + seconds
@@ -1074,6 +1093,8 @@ class ParallelEvaluationRunner:
             outcomes.close()
             self._close_shipments()
             self._phase("replay", replay_sum)
+            if sink_sum:
+                self._phase("sink_write", sink_sum)
             # What the fan-out wall clock spent beyond the replays' fair
             # share: submission, pipe traffic, result collection, stalls.
             self._phase(
@@ -1107,7 +1128,6 @@ class ParallelEvaluationRunner:
         ``run_seconds`` is keyed in worker *completion* order, which varies
         run to run; summing floats in that order would make the total
         order-dependent at the ulp level.  Summing in sorted-value order
-        makes it a pure function of the per-pair timings (and identical to
-        the serial runner's total for equal timing multisets).
+        makes it a pure function of the per-pair timings.
         """
         return sum(sorted(self.run_seconds.values()))

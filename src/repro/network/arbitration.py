@@ -76,27 +76,40 @@ class TokenChannelArbiter:
         """
         return self.ring_round_trip_s / self.num_clusters
 
+    def grant_time(self, cluster: int, now: float) -> float:
+        """When a request from ``cluster`` at ``now`` would be granted.
+
+        Pure: neither the token state nor the counters change, so the
+        crossbar's transfer path can add fault delays before it books the
+        grant.  Callers validate ``cluster``.
+        """
+        release_time = self.release_time
+        round_trip = self.ring_round_trip_s
+        num_clusters = self.num_clusters
+        if now >= release_time:
+            # Uncontested: the token is circulating.  It arrives at the
+            # requester one travel time after its last release (see
+            # travel_time); if it has already swept past, it must complete
+            # further revolutions.
+            distance = (cluster - self.release_position) % num_clusters
+            if distance == 0:
+                distance = num_clusters
+            arrival = release_time + round_trip * distance / num_clusters
+            while arrival < now and round_trip > 0:
+                arrival += round_trip
+            return arrival if arrival > now else now
+        # Contested: the channel is still granted into the future; the token
+        # hops from the current holder to the next requester, which under
+        # heavy contention is nearby on the ring (contended_handoff_time).
+        return release_time + round_trip / num_clusters
+
     def acquire(self, cluster: int, now: float) -> float:
         """Request the token from ``cluster`` at time ``now``; returns grant time."""
         if not 0 <= cluster < self.num_clusters:
             raise ValueError(
                 f"cluster {cluster} outside ring of {self.num_clusters}"
             )
-        if now >= self.release_time:
-            # Uncontested: the token is circulating.  It arrives at the
-            # requester one travel time after its last release; if it has
-            # already swept past, it must complete further revolutions.
-            arrival = self.release_time + self.travel_time(
-                self.release_position, cluster
-            )
-            while arrival < now and self.ring_round_trip_s > 0:
-                arrival += self.ring_round_trip_s
-            grant = max(arrival, now)
-        else:
-            # Contested: the channel is still granted into the future; the
-            # token hops from the current holder to the next requester, which
-            # under heavy contention is nearby on the ring.
-            grant = self.release_time + self.contended_handoff_time()
+        grant = self.grant_time(cluster, now)
         self.grants += 1
         self.total_wait_s += grant - now
         return grant

@@ -119,27 +119,10 @@ class OpticalCrossbar(Interconnect):
         channel = message.dst
         src = message.src
         size = message.size_bytes
-        num_clusters = self.num_clusters
-        # Token arbitration, transcribed from TokenChannelArbiter.acquire /
-        # release (the reference implementation) onto the same per-channel
-        # arbiter state; the aggregate wait statistic is derived from the
-        # per-channel counters by TokenRingArbiter.average_wait_s.
+        # The aggregate wait statistic is derived from the per-channel
+        # counters by TokenRingArbiter.average_wait_s.
         channel_arbiter = self.arbiter.channels[channel]
-        release_time = channel_arbiter.release_time
-        round_trip = channel_arbiter.ring_round_trip_s
-        if now >= release_time:
-            # Uncontested: the token is circulating; it arrives one travel
-            # time after its last release, modulo full revolutions.
-            distance = (src - channel_arbiter.release_position) % num_clusters
-            if distance == 0:
-                distance = num_clusters
-            arrival = release_time + round_trip * distance / num_clusters
-            while arrival < now and round_trip > 0:
-                arrival += round_trip
-            grant_time = arrival if arrival > now else now
-        else:
-            # Contested: the token hops to the next requester downstream.
-            grant_time = release_time + round_trip / num_clusters
+        grant_time = channel_arbiter.grant_time(src, now)
         injector = self._fault_injector
         if injector is not None:
             # Lost token: the home cluster regenerates it after the timeout,

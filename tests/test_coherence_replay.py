@@ -3,7 +3,7 @@
 Covers the sharing-aware trace generation, the timed MOESI directory engine
 (broadcast vs unicast invalidation delivery, cache-to-cache forwards, dirty
 writebacks), the bit-identical guarantee of the coherence-free path, and the
-serial/parallel equivalence of coherence-enabled replays.
+in-process/pooled equivalence of coherence-enabled replays.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.runtime import result_digest
 from repro.coherence import (
     CoherenceConfig,
     SHARED_REGION_BIT,
@@ -28,13 +29,19 @@ from repro.harness.experiments import (
     coherence_sweep_report,
 )
 from repro.harness.parallel import ParallelEvaluationRunner, run_pairs
-from repro.harness.runner import EvaluationRunner
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.mesh import low_performance_mesh
 from repro.network.message import Message, MessageType
 from repro.trace.synthetic import uniform_workload
 
 REQUESTS = 3_000
+
+#: SHA-256 of the ``WorkloadResult.to_dict()`` of the one-pair coherent
+#: matrix below (XBar/OCM x Uniform, 600 requests), frozen from the former
+#: dedicated serial runner when it was folded into the matrix runner.
+COHERENT_MATRIX_DIGEST = (
+    "4e0450ef21dc2bbfb259a7abdf9534bb7be42d0de57b1e24e3869efb21658f8c"
+)
 
 
 def _sharing_workload(fraction=0.3, **profile_kwargs):
@@ -229,6 +236,8 @@ class TestSerialParallelCoherence:
                 assert getattr(s, field.name) == getattr(p, field.name), field.name
 
     def test_matrix_coherence_plumbs_through_both_runners(self):
+        """In process and pooled, the coherent matrix reproduces the digest
+        frozen from the former dedicated serial runner."""
         matrix = EvaluationMatrix(
             scale=ExperimentScale(synthetic_requests=600),
             configuration_names=["XBar/OCM"],
@@ -236,9 +245,12 @@ class TestSerialParallelCoherence:
             workload_filter=["Uniform"],
             coherence=CoherenceConfig(),
         )
-        serial = EvaluationRunner(matrix=matrix).run()
+        serial = ParallelEvaluationRunner(matrix=matrix, jobs=1).run()
         parallel = ParallelEvaluationRunner(matrix=matrix, jobs=2).run()
         assert serial == parallel
+        assert [result_digest(result) for result in serial] == [
+            COHERENT_MATRIX_DIGEST
+        ]
         assert all(result.coherence_enabled for result in serial)
 
 

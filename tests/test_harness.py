@@ -19,7 +19,7 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.runner import EvaluationRunner
+from repro.harness.parallel import ParallelEvaluationRunner
 from repro.harness.tables import (
     format_table,
     render_all_tables,
@@ -124,32 +124,37 @@ def _tiny_matrix():
     return matrix
 
 
+def _runner(**kwargs):
+    """The matrix runner in process (``jobs=1``, no worker pool)."""
+    return ParallelEvaluationRunner(matrix=_tiny_matrix(), jobs=1, **kwargs)
+
+
 class TestEvaluationRunner:
     def test_run_produces_all_pairs(self):
-        runner = EvaluationRunner(matrix=_tiny_matrix())
+        runner = _runner()
         results = runner.run()
         assert len(results) == 12  # 2 configurations x 6 synthetic workloads
         assert runner.total_simulated_requests() == 12 * 800
         assert runner.total_wall_clock_seconds() > 0
 
     def test_run_workload_by_name(self):
-        runner = EvaluationRunner(matrix=_tiny_matrix())
+        runner = _runner()
         results = runner.run_workload("Uniform")
         assert [r.configuration for r in results] == ["LMesh/ECM", "XBar/OCM"]
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
-            EvaluationRunner(matrix=_tiny_matrix()).run_workload("Linpack")
+            _runner().run_workload("Linpack")
 
     def test_progress_callback(self):
         messages = []
-        runner = EvaluationRunner(matrix=_tiny_matrix(), progress=messages.append)
+        runner = _runner(progress=messages.append)
         runner.run_workload("Uniform")
         assert len(messages) == 2
         assert "Uniform" in messages[0]
 
     def test_figures_extractable_from_runner_results(self):
-        runner = EvaluationRunner(matrix=_tiny_matrix())
+        runner = _runner()
         results = runner.run()
         speedups = figure8_speedup(results, workload_order=runner.matrix.workload_names())
         assert set(speedups) == {

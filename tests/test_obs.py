@@ -312,6 +312,24 @@ class TestHarnessTimings:
         phases = result.timings["phases"]
         assert "dispatch" in phases and "replay" in phases
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_telemetry_sink_time_is_charged_on_every_path(self, tmp_path, jobs):
+        """Pair artifacts written in process or in a worker land in the
+        ``sink_write`` phase; with no report or CSV sink nothing else does."""
+        spec = ObservabilitySpec(
+            metrics_path=str(tmp_path / "metrics.csv"),
+            timeline_path=str(tmp_path / "timeline.json"),
+        )
+        result = run(
+            _scenario(
+                configurations=("XBar/OCM", "LMesh/ECM"),
+                observability=spec,
+                jobs=jobs,
+            )
+        )
+        assert result.timings["phases"]["sink_write"] > 0.0
+        assert len(list(tmp_path.glob("metrics-*.csv"))) == 2
+
     def test_timings_survive_the_json_sink(self, tmp_path):
         from repro.api import OutputSpec
 

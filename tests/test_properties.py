@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.coherence import CoherenceController
+from repro.network.arbitration import TokenChannelArbiter
 from repro.network.crossbar import OpticalCrossbar
 from repro.network.mesh import high_performance_mesh
 from repro.network.message import Message, MessageType
@@ -169,6 +170,58 @@ class TestReservationKernelProperties:
             ) == reference.reserve(now, 0.5 * _NS)
         # One scan over the comb, then the window skips it.
         assert resource.scan_steps - first < 200 + 5 * 100
+
+
+class TestArbitrationKernelProperties:
+    """The crossbar grants exactly what standalone per-channel
+    :class:`TokenChannelArbiter` s grant for the same request stream."""
+
+    @pytest.mark.parametrize("stream_seed", [3, 20080623])
+    def test_crossbar_grants_match_standalone_arbiters(self, stream_seed):
+        rng = random.Random(stream_seed)
+        crossbar = OpticalCrossbar(num_clusters=8)
+        bandwidth = crossbar.channel_bandwidth_bytes_per_s
+        reference = {
+            channel: TokenChannelArbiter(
+                channel_id=channel,
+                num_clusters=8,
+                ring_round_trip_s=arbiter.ring_round_trip_s,
+                release_position=arbiter.release_position,
+                release_time=arbiter.release_time,
+            )
+            for channel, arbiter in crossbar.arbiter.channels.items()
+        }
+        kinds = (MessageType.READ_REQUEST, MessageType.READ_RESPONSE)
+        now = 0.0
+        contended = uncontested = 0
+        for _ in range(3_000):
+            # Mostly sub-revolution steps (the token is still held: the
+            # contended hop), sometimes several revolutions (uncontested).
+            now += rng.choice((0.0, 1e-11, 2e-10, 5e-9)) * rng.random()
+            src, dst = rng.randrange(8), rng.randrange(8)
+            if src == dst:
+                continue
+            message = Message(src=src, dst=dst, message_type=rng.choice(kinds))
+            arbiter = reference[dst]
+            if now < arbiter.release_time:
+                contended += 1
+            else:
+                uncontested += 1
+            grant = arbiter.acquire(src, now)
+            arbiter.release(src, grant + message.size_bytes / bandwidth)
+            result = crossbar.transfer(message, now)
+            assert result.queueing_delay == grant - now
+        assert contended > 500 and uncontested > 500
+        for channel, arbiter in reference.items():
+            folded = crossbar.arbiter.channels[channel]
+            assert (folded.grants, folded.total_wait_s) == (
+                arbiter.grants,
+                arbiter.total_wait_s,
+            )
+            assert (folded.release_position, folded.release_time) == (
+                arbiter.release_position,
+                arbiter.release_time,
+            )
 
 
 #: Whole-number instants: small enough that ties between departures, and
