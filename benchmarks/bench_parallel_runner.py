@@ -18,19 +18,24 @@ multiprocessing overhead floor.
 
 from __future__ import annotations
 
-from repro.harness.experiments import EvaluationMatrix, ExperimentScale
+from repro.api import ScaleSpec, Scenario, SystemSpec, WorkloadSpec, build_matrix
+from repro.api.run import ScenarioMatrix
 from repro.harness.parallel import ParallelEvaluationRunner, available_cpus
+from repro.trace.synthetic import synthetic_workloads
 
-#: Small but non-trivial: 2 configurations x the 4 synthetic workloads.
-_BENCH_SCALE = ExperimentScale(synthetic_requests=3_000)
+#: Small but non-trivial: 2 configurations x the 6 synthetic workloads.
 _BENCH_CONFIGURATIONS = ("LMesh/ECM", "XBar/OCM")
 
 
-def _bench_matrix() -> EvaluationMatrix:
-    return EvaluationMatrix(
-        scale=_BENCH_SCALE,
-        configuration_names=list(_BENCH_CONFIGURATIONS),
-        include_splash=False,
+def _bench_matrix() -> ScenarioMatrix:
+    return build_matrix(
+        Scenario(
+            system=SystemSpec(configurations=_BENCH_CONFIGURATIONS),
+            workloads=tuple(
+                WorkloadSpec(name=w.name) for w in synthetic_workloads()
+            ),
+            scale=ScaleSpec(tier="default", synthetic_requests=3_000),
+        )
     )
 
 

@@ -15,14 +15,14 @@ import os
 
 import pytest
 
-from repro.harness.experiments import quick_matrix
+from repro.api import ScaleSpec, Scenario, build_matrix
 from repro.harness.parallel import ParallelEvaluationRunner
 
 
 @pytest.fixture(scope="session")
 def evaluation_matrix():
-    """The 5-configuration x 15-workload matrix at the quick scale."""
-    return quick_matrix()
+    """The 5-configuration x 17-workload matrix at the quick scale."""
+    return build_matrix(Scenario(scale=ScaleSpec(tier="quick")))
 
 
 @pytest.fixture(scope="session")

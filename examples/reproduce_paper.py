@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the paper's full evaluation: Tables 1-4 and Figures 8-11.
 
-Runs the complete 5-configuration x 15-workload matrix at a configurable
-scale, renders every table and figure as text, and prints the Section 5
-geometric-mean summary next to the paper's numbers.  This is the script behind
-EXPERIMENTS.md.
+Runs the complete 5-configuration x 17-workload matrix (6 synthetic + 11
+SPLASH-2) as one scenario at a configurable scale, renders every table and
+figure as text, and prints the Section 5 geometric-mean summary next to the
+paper's numbers.  ``corona-repro run`` writes the same figures into its
+markdown report.
 
 Run with::
 
@@ -18,12 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness.experiments import (
-    FULL_SCALE,
-    QUICK_SCALE,
-    EvaluationMatrix,
-    ExperimentScale,
-)
+from repro.api import ScaleSpec, Scenario, WorkloadSpec, build_matrix, run
 from repro.harness.figures import (
     PAPER_SPEEDUP_SUMMARY,
     figure10_latency,
@@ -33,8 +29,8 @@ from repro.harness.figures import (
     render_figure,
     speedup_summary,
 )
-from repro.harness.parallel import ParallelEvaluationRunner
 from repro.harness.tables import render_all_tables
+from repro.trace.synthetic import synthetic_workloads
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -53,25 +49,27 @@ def parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def choose_scale(args: argparse.Namespace) -> ExperimentScale:
-    scale = {"quick": QUICK_SCALE, "default": ExperimentScale(), "full": FULL_SCALE}[
-        args.scale
-    ]
+def build_scenario(args: argparse.Namespace) -> Scenario:
+    """The evaluation scenario the command-line flags describe."""
+    scale = ScaleSpec(tier=args.scale)
     if args.requests is not None:
-        scale = ExperimentScale(
+        floor = scale.resolve().splash_min_requests
+        scale = ScaleSpec(
+            tier=args.scale,
             synthetic_requests=args.requests,
-            splash_fraction=scale.splash_fraction,
-            splash_min_requests=min(args.requests, scale.splash_min_requests),
-            splash_max_requests=max(args.requests, scale.splash_min_requests),
+            splash_min_requests=min(args.requests, floor),
+            splash_max_requests=max(args.requests, floor),
         )
-    return scale
+    workloads = ()  # every registered workload, in the paper's order
+    if args.skip_splash:
+        workloads = tuple(WorkloadSpec(name=w.name) for w in synthetic_workloads())
+    return Scenario(name="reproduce-paper", workloads=workloads, scale=scale)
 
 
 def main(argv=None) -> None:
     args = parse_args(argv if argv is not None else sys.argv[1:])
-    matrix = EvaluationMatrix(
-        scale=choose_scale(args), include_splash=not args.skip_splash
-    )
+    scenario = build_scenario(args)
+    matrix = build_matrix(scenario)
 
     print(render_all_tables())
     print()
@@ -79,8 +77,8 @@ def main(argv=None) -> None:
           f"({len(matrix.configurations())} configurations x "
           f"{len(matrix.workloads())} workloads)...\n")
 
-    runner = ParallelEvaluationRunner(matrix=matrix, jobs=1, progress=print)
-    results = runner.run()
+    outcome = run(scenario, jobs=1, progress=print)
+    results = outcome.results
     order = matrix.workload_names()
 
     print()
@@ -101,8 +99,9 @@ def main(argv=None) -> None:
         paper = PAPER_SPEEDUP_SUMMARY.get(key)
         reference = f"(paper: {paper:.2f})" if paper is not None else ""
         print(f"  {key:<34} {value:6.2f} {reference}")
-    print(f"\nTotal simulated requests: {runner.total_simulated_requests():,}; "
-          f"wall clock: {runner.total_wall_clock_seconds():.1f} s")
+    print(f"\nTotal simulated requests: "
+          f"{sum(r.num_requests for r in results):,}; "
+          f"wall clock: {outcome.wall_clock_seconds:.1f} s")
 
 
 if __name__ == "__main__":

@@ -45,12 +45,22 @@ if str(SRC) not in sys.path:
 from repro.coherence import CoherenceConfig, SharingProfile  # noqa: E402
 from repro.core.configs import configuration_by_name  # noqa: E402
 from repro.core.system import SystemSimulator  # noqa: E402
-from repro.harness.experiments import EvaluationMatrix, ExperimentScale  # noqa: E402
+from repro.api import (  # noqa: E402
+    ScaleSpec,
+    Scenario,
+    SystemSpec,
+    WorkloadSpec,
+    build_matrix,
+)
+from repro.api.run import ScenarioMatrix  # noqa: E402
 from repro.harness.parallel import (  # noqa: E402
     ParallelEvaluationRunner,
     available_cpus,
 )
-from repro.trace.synthetic import uniform_workload  # noqa: E402
+from repro.trace.synthetic import (  # noqa: E402
+    synthetic_workloads,
+    uniform_workload,
+)
 
 DEFAULT_BENCH_PATH = REPO_ROOT / "BENCH_replay.json"
 
@@ -62,8 +72,8 @@ REPLAY_REQUESTS = 5_000
 SMOKE_REPLAY_REQUESTS = 800
 
 #: Reduced matrix mirroring benchmarks/bench_parallel_runner.py.
-MATRIX_SCALE = ExperimentScale(synthetic_requests=3_000)
-SMOKE_MATRIX_SCALE = ExperimentScale(synthetic_requests=600)
+MATRIX_REQUESTS = 3_000
+SMOKE_MATRIX_REQUESTS = 600
 MATRIX_CONFIGURATIONS = ("LMesh/ECM", "XBar/OCM")
 
 
@@ -89,11 +99,20 @@ def _replay_best_seconds(
     return best, events
 
 
-def _matrix(smoke: bool = False) -> EvaluationMatrix:
-    return EvaluationMatrix(
-        scale=SMOKE_MATRIX_SCALE if smoke else MATRIX_SCALE,
-        configuration_names=list(MATRIX_CONFIGURATIONS),
-        include_splash=False,
+def _matrix(smoke: bool = False) -> ScenarioMatrix:
+    return build_matrix(
+        Scenario(
+            system=SystemSpec(configurations=MATRIX_CONFIGURATIONS),
+            workloads=tuple(
+                WorkloadSpec(name=w.name) for w in synthetic_workloads()
+            ),
+            scale=ScaleSpec(
+                tier="default",
+                synthetic_requests=(
+                    SMOKE_MATRIX_REQUESTS if smoke else MATRIX_REQUESTS
+                ),
+            ),
+        )
     )
 
 

@@ -1,11 +1,10 @@
 """``run(scenario) -> ScenarioResult``: the one stable execution entry point.
 
 Everything the CLI (and user code) runs goes through here: the scenario's
-names are resolved against the registries, a matrix implementing the
-:class:`~repro.harness.experiments.EvaluationMatrix` protocol is built, and
-the pairs are replayed by the serial or parallel runner -- the *same*
-runners the legacy ``evaluate`` path uses, so a scenario translated from
-legacy flags reproduces its results bit-identically.
+names are resolved against the registries into a :class:`ScenarioMatrix`,
+and its pairs are replayed by
+:class:`~repro.harness.parallel.ParallelEvaluationRunner`, in process or
+over a worker pool, bit-identically for every ``jobs`` value.
 
 Per-pair :class:`~repro.core.results.WorkloadResult`\\ s stream to the
 ``on_result`` callback as they finish (serial order), and the finished run
@@ -42,14 +41,15 @@ RESULTS_FORMAT = "corona-results/1"
 
 
 class ScenarioMatrix:
-    """A scenario resolved into the evaluation-matrix protocol.
+    """The (configuration x workload) matrix a scenario describes.
 
-    Implements the interface
-    :class:`~repro.harness.parallel.ParallelEvaluationRunner` and
-    :class:`~repro.harness.report.ReproductionReport` consume (``scale``,
-    ``coherence``, ``corona_config``, ``configuration_names``,
-    ``workloads()``, ``configurations()``, ``requests_for()``...), so the
-    scenario path exercises exactly the machinery the legacy matrix does.
+    Configurations and workloads are resolved against the registries once,
+    at construction, so a bad name fails with its field path before any
+    replay.  Workloads keep the scenario's order (the registry's paper
+    plot order when the scenario names none) and every pair replays at
+    the request count :meth:`requests_for` picks.  This is the matrix
+    :class:`~repro.harness.parallel.ParallelEvaluationRunner` runs and
+    :class:`~repro.harness.report.ReproductionReport` renders.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -142,7 +142,6 @@ class ScenarioMatrix:
             )
         return workload
 
-    # -- EvaluationMatrix protocol ------------------------------------------
     def workloads(self) -> List:
         return list(self._workloads)
 
@@ -446,7 +445,9 @@ def run(
             raise ScenarioError(f"experiments[{index}].name", str(exc)) from None
         try:
             section = factory(context, **dict(spec.params))
-        except TypeError as exc:
+        except ScenarioError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"experiments[{index}].params", str(exc)) from None
         report.extra_sections.append(section)
     _write_outputs(result, matrix)
@@ -469,22 +470,19 @@ def _coherence_sweep_experiment(
 ):
     """The sharing-fraction sweep (photonic vs electrical coherence cost).
 
-    Defaults mirror ``evaluate --coherence``: the LMesh/ECM / HMesh/ECM /
-    XBar/OCM trio restricted to the scenario's configurations, at the
-    scenario scale's synthetic request count and seed.  Re-expressed as a
-    declarative sweep spec (:func:`repro.sweeps.coherence_sweep_spec`) and
-    executed by the sweep engine -- the numbers are exactly the legacy
-    :func:`~repro.harness.experiments.coherence_sweep` numbers
-    (equivalence-tested), and ``json``/``csv`` params additionally emit the
-    long-form per-point records the report section cannot carry.
+    Defaults: the LMesh/ECM / HMesh/ECM / XBar/OCM trio restricted to the
+    scenario's configurations, at the scenario scale's synthetic request
+    count and seed.  Runs as a declarative sweep spec
+    (:func:`repro.sweeps.coherence_sweep_spec`) through the sweep engine;
+    ``json``/``csv`` params additionally emit the long-form per-point
+    records the report section cannot carry.
     """
-    from repro.harness.experiments import (
+    from repro.sweeps import run_sweep
+    from repro.sweeps.library import (
         COHERENCE_SWEEP_CONFIGURATIONS,
         COHERENCE_SWEEP_FRACTIONS,
-        CoherenceSweepPoint,
-        coherence_sweep_report,
+        coherence_sweep_spec,
     )
-    from repro.sweeps import coherence_sweep_spec, run_sweep
 
     names = configurations
     if names is None:
@@ -493,7 +491,9 @@ def _coherence_sweep_experiment(
             for name in COHERENCE_SWEEP_CONFIGURATIONS
             if name in context.matrix.configuration_names
         ] or list(context.matrix.configuration_names)
-    fractions = tuple(fractions) if fractions else COHERENCE_SWEEP_FRACTIONS
+    fractions = (
+        COHERENCE_SWEEP_FRACTIONS if fractions is None else tuple(fractions)
+    )
     spec = coherence_sweep_spec(
         fractions=fractions,
         configurations=names,
@@ -510,18 +510,53 @@ def _coherence_sweep_experiment(
     outcome = run_sweep(spec, jobs=context.jobs, progress=context.progress)
     for kind, path in outcome.written.items():
         context.written[f"coherence-sweep-{kind}"] = path
-    points = [
-        CoherenceSweepPoint(
-            sharing_fraction=fraction,
-            results=tuple(
-                record.result
-                for record in outcome.records
-                if record.axis_values["fraction"] == fraction
-            ),
-        )
-        for fraction in fractions
-    ]
-    return coherence_sweep_report(points)
+    return _coherence_sweep_section(fractions, outcome.records)
+
+
+def _coherence_sweep_section(fractions: Sequence[float], records) -> str:
+    """Render the sweep records as a markdown section.
+
+    One table per sharing fraction, one row per configuration, with the
+    coherence-cost metrics side by side: the broadcast-equipped photonic
+    configuration should show the lowest invalidation latency once sharing
+    is enabled.
+    """
+    lines: List[str] = ["## Coherence cost sweep (sharing fraction)", ""]
+    lines.append(
+        "Invalidations ride the optical broadcast bus on configurations that "
+        "carry one (XBar/OCM) and fan out as per-sharer unicasts elsewhere; "
+        "`inval ns` is the mean time from directory action to the slowest "
+        "sharer's invalidation, `c2c ns` the mean cache-to-cache transfer "
+        "latency."
+    )
+    lines.append("")
+    header = (
+        "| configuration | exec us | miss ns | inval ns | c2c ns "
+        "| bcasts | unicasts | writebacks | bus occ |"
+    )
+    divider = "|---" * 9 + "|"
+    for fraction in fractions:
+        lines.append(f"### Sharing fraction {fraction:g}")
+        lines.append("")
+        lines.append(header)
+        lines.append(divider)
+        for record in records:
+            if record.axis_values["fraction"] != fraction:
+                continue
+            result = record.result
+            lines.append(
+                f"| {result.configuration} "
+                f"| {result.execution_time_s * 1e6:.2f} "
+                f"| {result.average_latency_ns:.1f} "
+                f"| {result.average_invalidation_latency_ns:.2f} "
+                f"| {result.average_cache_to_cache_latency_ns:.2f} "
+                f"| {result.invalidation_broadcasts} "
+                f"| {result.invalidation_unicasts} "
+                f"| {result.dirty_writebacks} "
+                f"| {result.broadcast_occupancy:.4f} |"
+            )
+        lines.append("")
+    return "\n".join(lines)
 
 
 @registry.register_experiment("sensitivity")

@@ -1,10 +1,11 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
-* :mod:`repro.harness.experiments` -- the evaluation matrix (5 configurations
-  x 15 workloads) and the scaling knobs that keep a pure-Python replay
-  tractable.
-* :mod:`repro.harness.parallel` -- the matrix runner: replays every pair in
-  process or over a supervised worker pool and collects
+* :mod:`repro.harness.experiments` -- the scaling knobs that keep a
+  pure-Python replay of the 85-pair matrix (5 configurations x 17
+  workloads) tractable.
+* :mod:`repro.harness.parallel` -- the matrix runner: replays every pair of
+  a :class:`~repro.api.run.ScenarioMatrix` in process or over a supervised
+  worker pool and collects
   :class:`~repro.core.results.WorkloadResult` objects (bit-identical for
   every worker count).
 * :mod:`repro.harness.tables` -- Tables 1-4 as data plus text renderers.
@@ -12,12 +13,7 @@
   charts, and the geometric-mean summary quoted in Section 5.
 """
 
-from repro.harness.experiments import (
-    EvaluationMatrix,
-    ExperimentScale,
-    default_matrix,
-    quick_matrix,
-)
+from repro.harness.experiments import ExperimentScale
 from repro.harness.figures import (
     figure10_latency,
     figure11_power,
@@ -37,9 +33,6 @@ from repro.harness.tables import (
 
 __all__ = [
     "ExperimentScale",
-    "EvaluationMatrix",
-    "default_matrix",
-    "quick_matrix",
     "ParallelEvaluationRunner",
     "available_cpus",
     "table1_resource_configuration",

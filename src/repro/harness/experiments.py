@@ -1,4 +1,4 @@
-"""The evaluation matrix and its scaling knobs.
+"""The scaling knobs of the evaluation matrix.
 
 The paper replays 1 M-request synthetic traces and up to 240 M-request
 SPLASH-2 traces on five system configurations.  A pure-Python replay cannot
@@ -11,15 +11,7 @@ scale is a command-line/benchmark knob, not a hidden constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-from repro.coherence import CoherenceConfig, SharingProfile
-from repro.core.config import CoronaConfig
-from repro.core.configs import CONFIGURATION_ORDER, all_configurations
-from repro.core.results import WorkloadResult
-from repro.trace.splash2 import SPLASH2_ORDER, splash2_workloads
-from repro.trace.synthetic import synthetic_workloads, uniform_workload
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -50,6 +42,8 @@ class ExperimentScale:
             raise ValueError("synthetic request count must be >= 1")
         if not 0 < self.splash_fraction <= 1:
             raise ValueError("splash fraction must be in (0, 1]")
+        if self.splash_min_requests < 1:
+            raise ValueError("splash_min_requests must be >= 1")
         if self.splash_min_requests > self.splash_max_requests:
             raise ValueError("splash_min_requests exceeds splash_max_requests")
 
@@ -60,7 +54,7 @@ class ExperimentScale:
 
 
 #: Scale used by the pytest benchmarks by default: small enough that the whole
-#: 75-run matrix finishes in minutes, large enough that every hardware thread
+#: 85-pair matrix finishes in minutes, large enough that every hardware thread
 #: issues dozens of misses.
 QUICK_SCALE = ExperimentScale(
     synthetic_requests=12_000,
@@ -89,218 +83,3 @@ PAPER_SCALE = ExperimentScale(
     splash_min_requests=100_000,
     splash_max_requests=1_000_000,
 )
-
-
-@dataclass
-class EvaluationMatrix:
-    """The (configuration x workload) matrix of the paper's evaluation.
-
-    ``workload_filter`` keeps only workloads whose name contains one of the
-    given substrings (case-insensitive) -- the mechanism behind the CLI's
-    ``--workloads`` flag, letting a single (configuration, workload) pair run
-    without the full matrix.  ``coherence`` enables the timed MOESI directory
-    for every replay of the matrix (shared-tagged records only; the stock
-    workloads carry none unless given a sharing profile).  ``corona_config``
-    re-parameterizes the architecture for every simulator of the matrix
-    (``None`` keeps the paper's design point -- the Scenario API sets this
-    from ``system.overrides``).
-    """
-
-    scale: ExperimentScale = field(default_factory=ExperimentScale)
-    configuration_names: Sequence[str] = field(
-        default_factory=lambda: list(CONFIGURATION_ORDER)
-    )
-    include_synthetic: bool = True
-    include_splash: bool = True
-    workload_filter: Optional[Sequence[str]] = None
-    coherence: Optional[CoherenceConfig] = None
-    corona_config: Optional[CoronaConfig] = None
-
-    def _matches_filter(self, name: str) -> bool:
-        if self.workload_filter is None:
-            return True
-        lowered = name.lower()
-        return any(term.lower() in lowered for term in self.workload_filter)
-
-    def workloads(self) -> List:
-        """Workload generators in the paper's plot order."""
-        workloads: List = []
-        if self.include_synthetic:
-            workloads.extend(synthetic_workloads())
-        if self.include_splash:
-            workloads.extend(splash2_workloads())
-        return [w for w in workloads if self._matches_filter(w.name)]
-
-    def workload_names(self) -> List[str]:
-        return [w.name for w in self.workloads()]
-
-    def synthetic_names(self) -> List[str]:
-        if not self.include_synthetic:
-            return []
-        return [
-            w.name for w in synthetic_workloads() if self._matches_filter(w.name)
-        ]
-
-    def splash_names(self) -> List[str]:
-        if not self.include_splash:
-            return []
-        return [name for name in SPLASH2_ORDER if self._matches_filter(name)]
-
-    def requests_for(self, workload) -> int:
-        """Scaled request count for one workload."""
-        fixed = getattr(workload, "fixed_requests", None)
-        if fixed is not None:
-            # Trace-file workloads carry their own record count; the scale
-            # tier cannot grow or shrink fixed on-disk data.
-            return fixed
-        if getattr(workload, "is_synthetic", False):
-            return self.scale.synthetic_requests
-        return self.scale.splash_requests(workload.profile.paper_requests)
-
-    def configurations(self) -> List:
-        by_name = {c.name: c for c in all_configurations()}
-        return [by_name[name] for name in self.configuration_names]
-
-    def run_count(self) -> int:
-        return len(self.configuration_names) * len(self.workloads())
-
-
-def default_matrix(scale: Optional[ExperimentScale] = None) -> EvaluationMatrix:
-    """The full 5 x 17 matrix (6 synthetic + 11 SPLASH-2) at default scale."""
-    return EvaluationMatrix(scale=scale or ExperimentScale())
-
-
-def quick_matrix() -> EvaluationMatrix:
-    """A fast matrix for benchmarks and CI: all workloads, quick scale."""
-    return EvaluationMatrix(scale=QUICK_SCALE)
-
-
-# --------------------------------------------------------------------------
-# Sharing-fraction sweep: the photonic-vs-electrical coherence cost axis.
-# --------------------------------------------------------------------------
-
-#: Configurations the sweep compares by default: the all-electrical baseline,
-#: the high-performance mesh, and the Corona design (the only one with the
-#: broadcast bus).
-COHERENCE_SWEEP_CONFIGURATIONS = ("LMesh/ECM", "HMesh/ECM", "XBar/OCM")
-
-#: Sharing fractions swept by default (0 doubles as the no-coherence control).
-COHERENCE_SWEEP_FRACTIONS = (0.0, 0.1, 0.3, 0.5)
-
-
-@dataclass(frozen=True)
-class CoherenceSweepPoint:
-    """Results of one sharing fraction across the sweep's configurations."""
-
-    sharing_fraction: float
-    results: Sequence[WorkloadResult]
-
-
-def coherence_sweep(
-    fractions: Sequence[float] = COHERENCE_SWEEP_FRACTIONS,
-    configuration_names: Sequence[str] = COHERENCE_SWEEP_CONFIGURATIONS,
-    num_requests: int = 8_000,
-    seed: int = 1,
-    coherence: Optional[CoherenceConfig] = None,
-    sharing_kwargs: Optional[Dict] = None,
-    jobs: int = 1,
-    progress=None,
-    corona_config: Optional[CoronaConfig] = None,
-    modules: Sequence[str] = (),
-) -> List[CoherenceSweepPoint]:
-    """Sweep the sharing fraction of a Uniform workload across configurations.
-
-    For each fraction a sharing-tagged Uniform trace is generated once and
-    replayed (coherence-enabled) on every configuration, so the only variable
-    between configurations is how the interconnect delivers the coherence
-    traffic -- most visibly whether invalidations ride the optical broadcast
-    bus or fan out as per-sharer unicasts.  ``jobs`` > 1 fans the
-    (fraction, configuration) pairs over worker processes exactly like the
-    evaluation matrix; results are bit-identical to the serial sweep.
-
-    ``corona_config`` re-parameterizes the architecture (the sweep traces are
-    generated at its cluster count) and ``modules`` are imported in workers
-    before configuration names resolve -- both supplied by the Scenario API
-    when a scenario carries system overrides or user registrations.
-    """
-    from repro.harness.parallel import run_pairs  # local: avoids module cycle
-
-    coherence = coherence or CoherenceConfig()
-    sharing_kwargs = dict(sharing_kwargs or {})
-    workload_kwargs = (
-        {"num_clusters": corona_config.num_clusters} if corona_config else {}
-    )
-    pairs = []
-    labels = []
-    for fraction in fractions:
-        workload = uniform_workload(
-            name=f"Uniform s={fraction:g}",
-            sharing=SharingProfile(fraction=fraction, **sharing_kwargs),
-            description=f"Uniform with sharing fraction {fraction:g}",
-            **workload_kwargs,
-        )
-        trace = workload.generate(seed=seed, num_requests=num_requests)
-        for name in configuration_names:
-            pairs.append(
-                (name, trace, workload.window, coherence, corona_config,
-                 tuple(modules))
-            )
-            labels.append(fraction)
-
-    results = run_pairs(pairs, jobs=jobs, progress=progress)
-    points: List[CoherenceSweepPoint] = []
-    for fraction in fractions:
-        points.append(
-            CoherenceSweepPoint(
-                sharing_fraction=fraction,
-                results=tuple(
-                    result
-                    for label, result in zip(labels, results)
-                    if label == fraction
-                ),
-            )
-        )
-    return points
-
-
-def coherence_sweep_report(points: Sequence[CoherenceSweepPoint]) -> str:
-    """Render the sweep as a markdown section.
-
-    One table per sharing fraction, one row per configuration, with the
-    coherence-cost metrics side by side: the broadcast-equipped photonic
-    configuration should show the lowest invalidation latency once sharing
-    is enabled.
-    """
-    lines: List[str] = ["## Coherence cost sweep (sharing fraction)", ""]
-    lines.append(
-        "Invalidations ride the optical broadcast bus on configurations that "
-        "carry one (XBar/OCM) and fan out as per-sharer unicasts elsewhere; "
-        "`inval ns` is the mean time from directory action to the slowest "
-        "sharer's invalidation, `c2c ns` the mean cache-to-cache transfer "
-        "latency."
-    )
-    lines.append("")
-    header = (
-        "| configuration | exec us | miss ns | inval ns | c2c ns "
-        "| bcasts | unicasts | writebacks | bus occ |"
-    )
-    divider = "|---" * 9 + "|"
-    for point in points:
-        lines.append(f"### Sharing fraction {point.sharing_fraction:g}")
-        lines.append("")
-        lines.append(header)
-        lines.append(divider)
-        for result in point.results:
-            lines.append(
-                f"| {result.configuration} "
-                f"| {result.execution_time_s * 1e6:.2f} "
-                f"| {result.average_latency_ns:.1f} "
-                f"| {result.average_invalidation_latency_ns:.2f} "
-                f"| {result.average_cache_to_cache_latency_ns:.2f} "
-                f"| {result.invalidation_broadcasts} "
-                f"| {result.invalidation_unicasts} "
-                f"| {result.dirty_writebacks} "
-                f"| {result.broadcast_occupancy:.4f} |"
-            )
-        lines.append("")
-    return "\n".join(lines)

@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from multiprocessing import connection as _mp_connection
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -86,7 +87,6 @@ from repro.core.results import WorkloadResult
 from repro.core.system import SystemSimulator
 from repro.faults import chaos as _chaos
 from repro.faults.spec import FaultSpec
-from repro.harness.experiments import EvaluationMatrix
 from repro.harness.resilience import (
     DEFAULT_POLICY,
     PairFailure,
@@ -99,6 +99,9 @@ from repro.obs.progress import ProgressReporter
 from repro.obs.spec import ObservabilitySpec
 from repro.trace.packed import PackedTrace, as_packed, generate_packed_trace
 from repro.trace.record import TraceStream
+
+if TYPE_CHECKING:  # repro.api.run imports this module
+    from repro.api.run import ScenarioMatrix
 
 _log = get_logger(__name__)
 
@@ -879,7 +882,7 @@ class ParallelEvaluationRunner:
     Parameters
     ----------
     matrix:
-        The evaluation matrix to run.
+        The scenario matrix to run (:func:`repro.api.run.build_matrix`).
     jobs:
         Worker process count.  ``0`` (the default) uses every available CPU;
         ``1`` runs in-process without a pool.
@@ -900,7 +903,7 @@ class ParallelEvaluationRunner:
         :attr:`results`.
     """
 
-    matrix: EvaluationMatrix
+    matrix: ScenarioMatrix
     jobs: int = 0
     progress: Optional[Callable[[str], None]] = None
     on_result: Optional[Callable[[WorkloadResult], None]] = None
@@ -972,7 +975,7 @@ class ParallelEvaluationRunner:
             shipment.close()
         self._shipments.clear()
 
-    def _pair_stream(self, ship: bool, only_workload: Optional[str] = None):
+    def _pair_stream(self, ship: bool):
         """Lazily yield ``(configuration_name, workload_name, trace, window,
         coherence)`` in submission order (workloads outer, configurations
         inner).
@@ -983,8 +986,6 @@ class ParallelEvaluationRunner:
         """
         configurations = self.matrix.configurations()
         for workload in self.matrix.workloads():
-            if only_workload is not None and workload.name != only_workload:
-                continue
             trace = (
                 # Consumed during pool submission, i.e. after the fork: a
                 # shipment created here must not rely on the fork registry.
@@ -1002,23 +1003,18 @@ class ParallelEvaluationRunner:
                     self.matrix.coherence,
                 )
 
-    def _corona_config(self) -> Optional[CoronaConfig]:
-        """Scenario system overrides to ship to workers (None = default)."""
-        return getattr(self.matrix, "corona_config", None)
-
-    def _execute(
-        self, count: int, only_workload: Optional[str] = None
-    ) -> List[WorkloadResult]:
-        """Run ``count`` pairs; append to (and return) new results."""
+    def run(self) -> List[WorkloadResult]:
+        """Run the whole matrix; returns all results (also kept on self)."""
+        count = self.matrix.run_count()
         policy = self.policy if self.policy is not None else DEFAULT_POLICY
         effective = min(self.resolved_jobs(), count) or 1
-        stream = self._pair_stream(ship=effective > 1, only_workload=only_workload)
+        stream = self._pair_stream(ship=effective > 1)
         submitted: List[Tuple[str, str]] = []
 
-        corona_config = self._corona_config()
-        fault_spec = getattr(self.matrix, "faults", None)
-        obs_spec = getattr(self.matrix, "observability", None)
-        multi = self.matrix.run_count() > 1
+        corona_config = self.matrix.corona_config
+        fault_spec = self.matrix.faults
+        obs_spec = self.matrix.observability
+        multi = count > 1
 
         def calls():
             for configuration_name, workload_name, trace, window, coherence in stream:
@@ -1038,7 +1034,6 @@ class ParallelEvaluationRunner:
                     ),
                 )
 
-        produced: List[WorkloadResult] = []
         replay_sum = 0.0
         sink_sum = 0.0
         fan_started = time.perf_counter()
@@ -1049,8 +1044,7 @@ class ParallelEvaluationRunner:
                 # before the pool forks, so give up generation/replay overlap
                 # and ship everything up front (pre-fork: fork_ok).
                 for workload in self.matrix.workloads():
-                    if only_workload is None or workload.name == only_workload:
-                        self._shipped(workload, fork_ok=True)
+                    self._shipped(workload, fork_ok=True)
             for position, outcome in enumerate(outcomes):
                 result, seconds, sink_seconds, raw, attempts, worker = outcome
                 configuration_name, workload_name = submitted[position]
@@ -1083,7 +1077,6 @@ class ParallelEvaluationRunner:
                         self.worker_seconds.get(worker, 0.0) + seconds
                     )
                 self.results.append(result)
-                produced.append(result)
                 if self.heartbeat is not None:
                     self.heartbeat.pair_done(failed=False, retries=attempts - 1)
                 if self.on_result is not None:
@@ -1104,20 +1097,7 @@ class ParallelEvaluationRunner:
                     time.perf_counter() - fan_started - replay_sum / effective,
                 ),
             )
-        return produced
-
-    def run(self) -> List[WorkloadResult]:
-        """Run the whole matrix; returns all results (also kept on self)."""
-        self._execute(self.matrix.run_count())
         return self.results
-
-    def run_workload(self, workload_name: str) -> List[WorkloadResult]:
-        """Run one workload across every configuration of the matrix."""
-        if workload_name not in self.matrix.workload_names():
-            known = sorted(self.matrix.workload_names())
-            raise KeyError(f"unknown workload {workload_name!r}; known: {known}")
-        count = len(self.matrix.configurations())
-        return self._execute(count, only_workload=workload_name)
 
     def total_simulated_requests(self) -> int:
         return sum(result.num_requests for result in self.results)

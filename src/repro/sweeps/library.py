@@ -2,12 +2,10 @@
 
 Importing :mod:`repro.sweeps` registers these under ``@register_sweep``, so
 ``corona-repro sweep run coherence-sweep`` (or ``sensitivity``) runs them by
-name.  They are also the re-expression of the two seed *experiments*: the
-``coherence-sweep`` experiment now builds :func:`coherence_sweep_spec` and
-executes it through the sweep engine, reproducing the legacy
-:func:`~repro.harness.experiments.coherence_sweep` numbers exactly
-(equivalence-tested) while additionally emitting the long-form JSON/CSV
-records a report section cannot carry.
+name.  They also back the two seed *experiments*: the ``coherence-sweep``
+experiment builds :func:`coherence_sweep_spec` and executes it through the
+sweep engine (its numbers are pinned by frozen result digests), which also
+emits the long-form JSON/CSV records a report section cannot carry.
 """
 
 from __future__ import annotations
@@ -25,12 +23,16 @@ from repro.api.scenario import (
 from repro.coherence.engine import CoherenceConfig
 from repro.coherence.sharing import SharingProfile
 from repro.core.config import CORONA_DEFAULT
-from repro.harness.experiments import (
-    COHERENCE_SWEEP_CONFIGURATIONS,
-    COHERENCE_SWEEP_FRACTIONS,
-)
 from repro.sweeps.spec import SweepAxis, SweepSpec
 from repro.trace.arrival import ArrivalSpec
+
+#: Configurations the coherence sweep compares by default: the
+#: all-electrical baseline, the high-performance mesh, and the Corona design
+#: (the only one with the broadcast bus).
+COHERENCE_SWEEP_CONFIGURATIONS = ("LMesh/ECM", "HMesh/ECM", "XBar/OCM")
+
+#: Sharing fractions swept by default (0 doubles as the no-coherence control).
+COHERENCE_SWEEP_FRACTIONS = (0.0, 0.1, 0.3, 0.5)
 
 
 def coherence_sweep_spec(
@@ -48,17 +50,20 @@ def coherence_sweep_spec(
     """The sharing-fraction sweep as a declarative grid.
 
     One point per (sharing fraction, configuration) pair -- the fraction
-    axis zips with a label axis renaming the workload ``Uniform s=<f>``
-    exactly like the legacy sweep, and the configuration axis rewrites
-    ``system.configurations`` one name at a time.  Points sharing a
-    fraction share a workload signature, so the engine generates each
-    fraction's trace once, like the legacy loop did.
+    axis zips with a label axis renaming the workload ``Uniform s=<f>``,
+    and the configuration axis rewrites ``system.configurations`` one name
+    at a time.  Points sharing a fraction share a workload signature, so
+    the engine generates each fraction's trace once.  An empty
+    ``fractions`` or ``configurations`` raises :class:`ValueError`.
     """
+    if not fractions:
+        raise ValueError("fractions must name at least one sharing fraction")
+    if not configurations:
+        raise ValueError("configurations must name at least one configuration")
     overrides = dict(overrides or {})
     params: dict = {"name": f"Uniform s={fractions[0]:g}"}
     if overrides:
-        # Trace shape follows the overridden architecture, exactly like the
-        # legacy sweep's workload_kwargs.
+        # Trace shape follows the overridden architecture.
         params["num_clusters"] = CORONA_DEFAULT.with_overrides(
             overrides
         ).num_clusters
@@ -115,7 +120,8 @@ def coherence_sweep_spec(
 
 @register_sweep("coherence-sweep")
 def _registered_coherence_sweep(**params) -> SweepSpec:
-    """Sharing-fraction coherence-cost grid (see ``evaluate --coherence``)."""
+    """Sharing-fraction coherence-cost grid (the ``coherence-sweep``
+    experiment's grid)."""
     return coherence_sweep_spec(**params)
 
 

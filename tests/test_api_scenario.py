@@ -4,7 +4,6 @@ errors, the run() entry point, and the parallel worker resolution errors."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -29,13 +28,12 @@ from repro.coherence.engine import CoherenceConfig
 from repro.coherence.sharing import SharingProfile
 from repro.core.configs import CONFIGURATION_ORDER, SystemConfiguration
 from repro.core.results import RESULT_CSV_COLUMNS, WorkloadResult
-from repro.harness.experiments import EvaluationMatrix, QUICK_SCALE
+from repro.analysis.runtime import result_digest
 from repro.harness.parallel import (
     WorkerSetupError,
     _replay_pair,
     run_pairs,
 )
-from repro.harness.report import build_report
 from repro.trace.splash2 import (
     SPLASH2_SHARING_PROFILES,
     splash2_workload,
@@ -141,6 +139,14 @@ class TestScenarioValidation:
     def test_bad_scale_tier_names_the_path(self):
         with pytest.raises(ScenarioError, match="scale.tier"):
             Scenario.from_dict({"scale": {"tier": "warp"}})
+
+    @pytest.mark.parametrize("low, high", [(0, 0), (-5, -1)])
+    def test_splash_clamp_below_one_names_the_path(self, low, high):
+        with pytest.raises(ScenarioError, match="scale: splash_min_requests"):
+            Scenario.from_dict(
+                {"scale": {"tier": "quick", "splash_min_requests": low,
+                           "splash_max_requests": high}}
+            )
 
     def test_bad_override_names_the_path(self):
         with pytest.raises(ScenarioError, match="system.overrides"):
@@ -296,23 +302,32 @@ def _small_scale_kwargs():
     )
 
 
+#: SHA-256 of each pair's ``WorkloadResult.to_dict()`` for the scenario in
+#: ``test_run_matches_legacy_evaluate_bit_identically``, frozen from the
+#: removed ``evaluate`` command's matrix (``--configs LMesh XBar
+#: --workloads Uniform Barnes`` at the scale below) before it was deleted.
+LEGACY_EVALUATE_DIGESTS = {
+    "LMesh/ECM/Uniform": "4f280c8586f8d97ce772849ba0753f44f4543c110c014e01468cc384d0917182",
+    "XBar/OCM/Uniform": "632ece94ad13978d17c04fd0f7b06b96bd79498a9097d47e23a7ffdb0d82e415",
+    "LMesh/ECM/Barnes": "0858be89e8c7313284304ab128755ebdb1b3c6321aaf5c0aaba740a42b29b9b3",
+    "XBar/OCM/Barnes": "502db7549fd98cc0c769ed31fce4ee89ceeafe44565bf356db963de0b7823bbe",
+}
+
+
 class TestRunEntryPoint:
     def test_run_matches_legacy_evaluate_bit_identically(self):
-        """The acceptance criterion: a scenario translated from the legacy
-        evaluate flags reproduces the quick-scale matrix bit-identically."""
-        legacy = build_report(
-            EvaluationMatrix(
-                scale=replace(QUICK_SCALE, **_small_scale_kwargs()),
-                configuration_names=["LMesh/ECM", "XBar/OCM"],
-                workload_filter=["Uniform", "Barnes"],
-            )
-        )
+        """A quick-scale scenario reproduces the removed ``evaluate``
+        command's results bit-identically, pair by pair and in order."""
         scenario = Scenario(
             system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
             workloads=(WorkloadSpec(name="Uniform"), WorkloadSpec(name="Barnes")),
             scale=ScaleSpec(tier="quick", **_small_scale_kwargs()),
         )
-        assert run(scenario).results == legacy.results
+        digests = [
+            (f"{r.configuration}/{r.workload}", result_digest(r))
+            for r in run(scenario).results
+        ]
+        assert digests == list(LEGACY_EVALUATE_DIGESTS.items())
 
     def test_parallel_run_matches_serial(self):
         scenario = Scenario(

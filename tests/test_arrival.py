@@ -3,7 +3,7 @@ scenario round-trip, deterministic trace materialization (with bit-identity
 to pre-arrival traces when disabled), the simulator's open-loop replay and
 sojourn statistics, knee detection, the latency-throughput stock sweep
 (serial/parallel equivalence included), the public field-path writers, and
-the deprecated `simulate`/`evaluate` CLI shims."""
+a check that `run` emits no deprecation warnings."""
 
 from __future__ import annotations
 
@@ -431,26 +431,6 @@ class TestLatencyThroughputSweep:
 
 
 class TestDeprecatedCommands:
-    def test_simulate_warns_but_works(self, capsys):
-        with pytest.warns(DeprecationWarning, match="simulate.*deprecated"):
-            code = main(
-                ["simulate", "Uniform", "--requests", "300",
-                 "--configurations", "XBar/OCM"]
-            )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "configuration" in captured.out  # the results table printed
-        assert "deprecated" in captured.err
-
-    def test_evaluate_warns_but_works(self, capsys):
-        with pytest.warns(DeprecationWarning, match="evaluate.*deprecated"):
-            code = main(
-                ["evaluate", "--scale", "quick", "--configs", "XBar",
-                 "--workloads", "Uniform"]
-            )
-        assert code == 0
-        assert "Figure 8" in capsys.readouterr().out
-
     def test_run_does_not_warn(self, tmp_path, recwarn):
         path = tmp_path / "s.json"
         Scenario(

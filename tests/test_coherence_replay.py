@@ -13,6 +13,8 @@ import dataclasses
 import pytest
 
 from repro.analysis.runtime import result_digest
+from repro.api import ScaleSpec, Scenario, SystemSpec, WorkloadSpec, build_matrix
+from repro.api.run import _coherence_sweep_section
 from repro.coherence import (
     CoherenceConfig,
     SHARED_REGION_BIT,
@@ -22,16 +24,11 @@ from repro.coherence import (
 )
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator, simulate_workload
-from repro.harness.experiments import (
-    EvaluationMatrix,
-    ExperimentScale,
-    coherence_sweep,
-    coherence_sweep_report,
-)
 from repro.harness.parallel import ParallelEvaluationRunner, run_pairs
 from repro.network.broadcast import OpticalBroadcastBus
 from repro.network.mesh import low_performance_mesh
 from repro.network.message import Message, MessageType
+from repro.sweeps import coherence_sweep_spec, run_sweep
 from repro.trace.synthetic import uniform_workload
 
 REQUESTS = 3_000
@@ -238,12 +235,13 @@ class TestSerialParallelCoherence:
     def test_matrix_coherence_plumbs_through_both_runners(self):
         """In process and pooled, the coherent matrix reproduces the digest
         frozen from the former dedicated serial runner."""
-        matrix = EvaluationMatrix(
-            scale=ExperimentScale(synthetic_requests=600),
-            configuration_names=["XBar/OCM"],
-            include_splash=False,
-            workload_filter=["Uniform"],
-            coherence=CoherenceConfig(),
+        matrix = build_matrix(
+            Scenario(
+                system=SystemSpec(configurations=("XBar/OCM",)),
+                workloads=(WorkloadSpec(name="Uniform"),),
+                scale=ScaleSpec(tier="default", synthetic_requests=600),
+                coherence=CoherenceConfig(),
+            )
         )
         serial = ParallelEvaluationRunner(matrix=matrix, jobs=1).run()
         parallel = ParallelEvaluationRunner(matrix=matrix, jobs=2).run()
@@ -256,34 +254,39 @@ class TestSerialParallelCoherence:
 
 class TestCoherenceSweep:
     def test_sweep_points_and_report(self):
-        points = coherence_sweep(
-            fractions=(0.0, 0.3),
-            configuration_names=("LMesh/ECM", "XBar/OCM"),
-            num_requests=2_000,
-        )
-        assert [p.sharing_fraction for p in points] == [0.0, 0.3]
-        for point in points:
-            assert [r.configuration for r in point.results] == [
-                "LMesh/ECM",
-                "XBar/OCM",
-            ]
-        zero, shared = points
-        assert all(r.invalidations_sent == 0 for r in zero.results)
-        by_config = {r.configuration: r for r in shared.results}
+        fractions = (0.0, 0.3)
+        records = run_sweep(
+            coherence_sweep_spec(
+                fractions=fractions,
+                configurations=("LMesh/ECM", "XBar/OCM"),
+                num_requests=2_000,
+            )
+        ).records
+        assert [
+            (r.axis_values["fraction"], r.result.configuration) for r in records
+        ] == [
+            (0.0, "LMesh/ECM"),
+            (0.0, "XBar/OCM"),
+            (0.3, "LMesh/ECM"),
+            (0.3, "XBar/OCM"),
+        ]
+        zero = [r.result for r in records[:2]]
+        assert all(r.invalidations_sent == 0 for r in zero)
+        by_config = {r.result.configuration: r.result for r in records[2:]}
         assert (
             by_config["XBar/OCM"].average_invalidation_latency_s
             < by_config["LMesh/ECM"].average_invalidation_latency_s
         )
-        report = coherence_sweep_report(points)
+        report = _coherence_sweep_section(fractions, records)
         assert "Sharing fraction 0.3" in report
         assert "XBar/OCM" in report
 
     def test_sweep_parallel_matches_serial(self):
-        kwargs = dict(
+        spec = coherence_sweep_spec(
             fractions=(0.2,),
-            configuration_names=("XBar/OCM", "LMesh/ECM"),
+            configurations=("XBar/OCM", "LMesh/ECM"),
             num_requests=1_500,
         )
-        assert coherence_sweep(jobs=1, **kwargs)[0].results == coherence_sweep(
-            jobs=2, **kwargs
-        )[0].results
+        serial = [r.result for r in run_sweep(spec, jobs=1).records]
+        parallel = [r.result for r in run_sweep(spec, jobs=2).records]
+        assert serial == parallel

@@ -75,3 +75,12 @@ class TestExampleSmoke:
         # The timed replay comparison added with the coherence subsystem.
         assert "Timed coherent replay" in result.stdout
         assert "XBar/OCM" in result.stdout and "LMesh/ECM" in result.stdout
+
+    def test_reproduce_paper_runs_end_to_end(self):
+        result = _run_example(
+            "reproduce_paper.py", "--skip-splash", "--requests", "600"
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Running 30 simulations" in result.stdout
+        assert "Figure 8: Normalized Speedup" in result.stdout
+        assert "Section 5 geometric-mean summary" in result.stdout

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.harness.experiments import (
-    FULL_SCALE,
-    QUICK_SCALE,
-    EvaluationMatrix,
-    ExperimentScale,
-    default_matrix,
-    quick_matrix,
+from repro.api import (
+    ScaleSpec,
+    Scenario,
+    ScenarioError,
+    SystemSpec,
+    WorkloadSpec,
+    build_matrix,
 )
+from repro.harness.experiments import FULL_SCALE, QUICK_SCALE, ExperimentScale
 from repro.harness.figures import (
     PAPER_SPEEDUP_SUMMARY,
     figure10_latency,
@@ -57,16 +58,21 @@ class TestExperimentScale:
         with pytest.raises(ValueError):
             ExperimentScale(splash_min_requests=10, splash_max_requests=5)
 
+    @pytest.mark.parametrize("low, high", [(0, 0), (-5, -1)])
+    def test_splash_clamp_below_one_rejected(self, low, high):
+        with pytest.raises(ValueError, match="splash_min_requests"):
+            ExperimentScale(splash_min_requests=low, splash_max_requests=high)
+
 
 class TestEvaluationMatrix:
     def test_default_matrix_is_5_by_17(self):
-        matrix = default_matrix()
+        matrix = build_matrix(Scenario(scale=ScaleSpec(tier="default")))
         assert len(matrix.configurations()) == 5
         assert len(matrix.workloads()) == 17
         assert matrix.run_count() == 85
 
     def test_workload_names_in_paper_order(self):
-        matrix = default_matrix()
+        matrix = build_matrix(Scenario(scale=ScaleSpec(tier="default")))
         names = matrix.workload_names()
         assert names[:6] == [
             "Uniform",
@@ -81,7 +87,7 @@ class TestEvaluationMatrix:
         assert len(matrix.splash_names()) == 11
 
     def test_requests_for_scales_by_workload_kind(self):
-        matrix = quick_matrix()
+        matrix = build_matrix(Scenario(scale=ScaleSpec(tier="quick")))
         synthetic = matrix.workloads()[0]
         splash = matrix.workloads()[8]  # FFT
         assert matrix.requests_for(synthetic) == matrix.scale.synthetic_requests
@@ -92,36 +98,29 @@ class TestEvaluationMatrix:
         )
 
     def test_subset_matrix(self):
-        matrix = EvaluationMatrix(include_splash=False)
+        matrix = _tiny_matrix()
         assert len(matrix.workloads()) == 6
         assert matrix.splash_names() == []
 
-    def test_workload_filter_substring(self):
-        matrix = EvaluationMatrix(workload_filter=["uni", "fft"])
-        assert matrix.workload_names() == ["Uniform", "FFT"]
-        assert matrix.synthetic_names() == ["Uniform"]
-        assert matrix.splash_names() == ["FFT"]
-        assert matrix.run_count() == 10
 
-    def test_workload_filter_no_match_is_empty(self):
-        matrix = EvaluationMatrix(workload_filter=["nosuchworkload"])
-        assert matrix.workloads() == []
-        assert matrix.run_count() == 0
+_SYNTHETIC = ("Uniform", "Hot Spot", "Tornado", "Transpose", "Bit Reversal",
+              "Neighbor")
 
 
-def _tiny_matrix():
+def _tiny_matrix(workloads=_SYNTHETIC):
     """A matrix small enough to run inside a unit test."""
-    matrix = EvaluationMatrix(
-        scale=ExperimentScale(
-            synthetic_requests=800,
-            splash_fraction=1e-6,
-            splash_min_requests=800,
-            splash_max_requests=800,
-        ),
-        configuration_names=["LMesh/ECM", "XBar/OCM"],
-        include_splash=False,
+    return build_matrix(
+        Scenario(
+            system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
+            workloads=tuple(WorkloadSpec(name=name) for name in workloads),
+            scale=ScaleSpec(
+                synthetic_requests=800,
+                splash_fraction=1e-6,
+                splash_min_requests=800,
+                splash_max_requests=800,
+            ),
+        )
     )
-    return matrix
 
 
 def _runner(**kwargs):
@@ -137,19 +136,16 @@ class TestEvaluationRunner:
         assert runner.total_simulated_requests() == 12 * 800
         assert runner.total_wall_clock_seconds() > 0
 
-    def test_run_workload_by_name(self):
-        runner = _runner()
-        results = runner.run_workload("Uniform")
-        assert [r.configuration for r in results] == ["LMesh/ECM", "XBar/OCM"]
-
     def test_unknown_workload_rejected(self):
-        with pytest.raises(KeyError):
-            _runner().run_workload("Linpack")
+        with pytest.raises(ScenarioError, match=r"workloads\[0\]\.name"):
+            _tiny_matrix(("Linpack",))
 
     def test_progress_callback(self):
         messages = []
-        runner = _runner(progress=messages.append)
-        runner.run_workload("Uniform")
+        runner = ParallelEvaluationRunner(
+            matrix=_tiny_matrix(("Uniform",)), jobs=1, progress=messages.append
+        )
+        runner.run()
         assert len(messages) == 2
         assert "Uniform" in messages[0]
 

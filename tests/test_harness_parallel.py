@@ -3,10 +3,10 @@
 :class:`~repro.harness.parallel.ParallelEvaluationRunner` is the only
 matrix executor.  Every ``jobs`` value must give the same results
 (bit-identical, not approximately equal), the same ordering and the same
-bookkeeping shape.  The matrix under test is ``quick_matrix()`` -- every
-(configuration, workload) pair of the evaluation -- with the request counts
-scaled down (via ``dataclasses.replace`` of the scale) so the 2x85 replays
-stay test-suite fast while still covering every pair.
+bookkeeping shape.  The matrix under test is the quick-tier scenario
+matrix -- every (configuration, workload) pair of the evaluation -- with
+the request counts scaled down (``ScaleSpec`` overrides) so the 2x85
+replays stay test-suite fast while still covering every pair.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import dataclasses
 import pytest
 
 from repro.analysis.runtime import result_digest
-from repro.harness.experiments import EvaluationMatrix, quick_matrix
+from repro.api import ScaleSpec, Scenario, build_matrix
+from repro.api.run import ScenarioMatrix
 from repro.harness.parallel import ParallelEvaluationRunner, available_cpus
 
 #: SHA-256 of each pair's ``WorkloadResult.to_dict()`` on
@@ -112,16 +113,19 @@ GOLDEN_DIGESTS = {
 }
 
 
-def _small_quick_matrix() -> EvaluationMatrix:
-    """quick_matrix() shrunk to test-suite request counts (same 85 pairs)."""
-    matrix = quick_matrix()
-    matrix.scale = dataclasses.replace(
-        matrix.scale,
-        synthetic_requests=600,
-        splash_min_requests=400,
-        splash_max_requests=700,
+def _small_quick_matrix() -> ScenarioMatrix:
+    """The quick-tier matrix shrunk to test-suite request counts (same 85
+    pairs)."""
+    return build_matrix(
+        Scenario(
+            scale=ScaleSpec(
+                tier="quick",
+                synthetic_requests=600,
+                splash_min_requests=400,
+                splash_max_requests=700,
+            )
+        )
     )
-    return matrix
 
 
 def _digests(results) -> dict:
@@ -186,20 +190,6 @@ class TestRunnerApi:
     def test_explicit_jobs_respected(self):
         runner = ParallelEvaluationRunner(matrix=_small_quick_matrix(), jobs=3)
         assert runner.resolved_jobs() == 3
-
-    def test_run_workload_unknown_name_raises(self):
-        runner = ParallelEvaluationRunner(matrix=_small_quick_matrix(), jobs=1)
-        with pytest.raises(KeyError):
-            runner.run_workload("NoSuchWorkload")
-
-    def test_run_workload_covers_every_configuration(self):
-        matrix = _small_quick_matrix()
-        runner = ParallelEvaluationRunner(matrix=matrix, jobs=1)
-        results = runner.run_workload("Uniform")
-        assert [r.configuration for r in results] == list(
-            matrix.configuration_names
-        )
-        assert all(r.workload == "Uniform" for r in results)
 
     def test_shipments_released_after_pool_run(self):
         """The parent frees every shared-memory shipment once results are in."""

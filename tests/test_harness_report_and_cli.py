@@ -1,11 +1,19 @@
 """Tests for the markdown report, the sensitivity sweeps, the address-level
 workloads and the command-line interface."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.api import (
+    OutputSpec,
+    ScaleSpec,
+    Scenario,
+    SystemSpec,
+    WorkloadSpec,
+    run,
+)
 from repro.cli import build_parser, main
-from repro.harness.experiments import EvaluationMatrix, ExperimentScale
-from repro.harness.report import build_report
 from repro.harness.sensitivity import (
     SweepPoint,
     channel_bandwidth_sensitivity,
@@ -24,22 +32,26 @@ from repro.trace.address import (
 )
 
 
-def _tiny_matrix():
-    return EvaluationMatrix(
-        scale=ExperimentScale(
+def _tiny_scenario() -> Scenario:
+    return Scenario(
+        system=SystemSpec(configurations=("LMesh/ECM", "XBar/OCM")),
+        workloads=tuple(
+            WorkloadSpec(name=name)
+            for name in ("Uniform", "Hot Spot", "Tornado", "Transpose",
+                         "Bit Reversal", "Neighbor")
+        ),
+        scale=ScaleSpec(
             synthetic_requests=600,
             splash_fraction=1e-6,
             splash_min_requests=600,
             splash_max_requests=600,
         ),
-        configuration_names=["LMesh/ECM", "XBar/OCM"],
-        include_splash=False,
     )
 
 
 class TestReport:
     def test_build_report_and_render(self):
-        report = build_report(_tiny_matrix())
+        report = run(_tiny_scenario()).report
         markdown = report.to_markdown()
         assert "# Corona reproduction report" in markdown
         assert "Figure 8" in markdown and "Figure 11" in markdown
@@ -48,37 +60,22 @@ class TestReport:
         assert "XBar/OCM" in markdown
 
     def test_report_summary_and_write(self, tmp_path):
-        report = build_report(_tiny_matrix())
-        summary = report.summary()
+        scenario = replace(
+            _tiny_scenario(), output=OutputSpec(report=str(tmp_path / "report.md"))
+        )
+        result = run(scenario)
+        summary = result.report.summary()
         assert "corona_over_baseline_synthetic" in summary
         assert summary["corona_over_baseline_synthetic"] > 0
-        path = report.write(tmp_path / "report.md")
+        path = result.written["report"]
         assert path.exists()
         assert path.read_text().startswith("# Corona reproduction report")
 
     def test_build_report_parallel_jobs_matches_serial(self):
-        serial = build_report(_tiny_matrix())
-        parallel = build_report(_tiny_matrix(), jobs=2)
+        serial = run(_tiny_scenario())
+        parallel = run(_tiny_scenario(), jobs=2)
         assert parallel.results == serial.results
         assert parallel.to_markdown().splitlines()[0] == "# Corona reproduction report"
-
-    def test_evaluate_parser_accepts_jobs(self):
-        import argparse
-
-        parser = build_parser()
-        args = parser.parse_args(["evaluate", "--jobs", "4"])
-        assert args.jobs == 4
-        args = parser.parse_args(["evaluate"])
-        assert args.jobs == 1
-        # --jobs is documented in the evaluate --help epilog.
-        subparsers = next(
-            action
-            for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        help_text = subparsers.choices["evaluate"].format_help()
-        assert "--jobs" in help_text
-        assert "bit-identical" in help_text
 
 
 class TestSensitivity:
@@ -190,50 +187,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "waveguide loss" in out
 
-    def test_simulate_command(self, capsys):
-        code = main([
-            "simulate", "Uniform", "--requests", "800",
-            "--configurations", "LMesh/ECM", "XBar/OCM",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "XBar/OCM" in out
-
-    def test_evaluate_parser_accepts_filters_and_coherence(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "evaluate",
-                "--configs", "XBar", "LMesh",
-                "--workloads", "Uniform",
-                "--coherence",
-                "--sharing-fractions", "0", "0.3",
-            ]
-        )
-        assert args.configs == ["XBar", "LMesh"]
-        assert args.workloads == ["Uniform"]
-        assert args.coherence
-        assert args.sharing_fractions == [0.0, 0.3]
-        # Defaults: no filters, no sweep.
-        args = parser.parse_args(["evaluate"])
-        assert args.configs is None and args.workloads is None
-        assert not args.coherence
-
-    def test_evaluate_rejects_unknown_filters(self):
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--configs", "NoSuchNetwork"])
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--workloads", "NoSuchWorkload"])
-
-    def test_simulate_splash_workload(self, capsys):
-        assert main([
-            "simulate", "Barnes", "--requests", "800",
-            "--configurations", "XBar/OCM",
-        ]) == 0
-
-    def test_simulate_unknown_workload(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "NotAWorkload"])
+    @pytest.mark.parametrize(
+        "argv", [["evaluate"], ["simulate", "Uniform"]], ids=["evaluate", "simulate"]
+    )
+    def test_removed_commands_are_invalid_choices(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestScenarioCli:

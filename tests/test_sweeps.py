@@ -21,6 +21,7 @@ from repro.api import (
     WorkloadSpec,
     run,
 )
+from repro.analysis.runtime import result_digest
 from repro.api.scenario import ExperimentSpec
 from repro.cli import main
 from repro.core.results import (
@@ -28,12 +29,12 @@ from repro.core.results import (
     long_form_columns,
     long_form_row,
 )
-from repro.harness.experiments import coherence_sweep
 from repro.sweeps import (
     SweepAxis,
     SweepError,
     SweepSpec,
     TraceCache,
+    build_registered_sweep,
     coherence_sweep_spec,
     expand,
     load_sweep,
@@ -477,24 +478,49 @@ class TestEngine:
             sweep_status(tmp_path)
 
 
+#: SHA-256 of each record's ``WorkloadResult.to_dict()``, in record order,
+#: frozen from the imperative sharing-fraction loop that
+#: ``harness/experiments.py`` carried before this spec replaced it (same
+#: fractions, configurations and request count).
+LEGACY_COHERENCE_SWEEP_DIGESTS = [
+    (0.0, "LMesh/ECM", "e035c37f0295fd9a94497a15f671c8b524035df98111a21f66a49e6978cc2f40"),
+    (0.0, "XBar/OCM", "287b13608d15fa7160a9633b82a45668906490a88e1c0fe6688f61cdd31372c3"),
+    (0.3, "LMesh/ECM", "d8a1d3d6162f76717caf06fbdad8cedc75f793750dd7b5774dd712632802b721"),
+    (0.3, "XBar/OCM", "058a7e58c00cead7ebac97e954528f64b5d70414475ffaf9ed8155409fae9315"),
+]
+
+
 class TestReexpressedExperiments:
     def test_coherence_sweep_spec_reproduces_legacy_numbers_exactly(self):
-        fractions = (0.0, 0.3)
-        configurations = ("LMesh/ECM", "XBar/OCM")
-        legacy = coherence_sweep(
-            fractions=fractions,
-            configuration_names=configurations,
-            num_requests=1_000,
-        )
-        legacy_flat = [result for point in legacy for result in point.results]
         outcome = run_sweep(
             coherence_sweep_spec(
-                fractions=fractions,
-                configurations=configurations,
+                fractions=(0.0, 0.3),
+                configurations=("LMesh/ECM", "XBar/OCM"),
                 num_requests=1_000,
             )
         )
-        assert [r.result for r in outcome.records] == legacy_flat
+        assert [
+            (
+                r.axis_values["fraction"],
+                r.result.configuration,
+                result_digest(r.result),
+            )
+            for r in outcome.records
+        ] == LEGACY_COHERENCE_SWEEP_DIGESTS
+
+    @pytest.mark.parametrize("param", ["fractions", "configurations"])
+    def test_coherence_sweep_rejects_an_empty_axis(self, param):
+        with pytest.raises(ValueError, match=param):
+            build_registered_sweep("coherence-sweep", **{param: []})
+        scenario = Scenario(
+            system=SystemSpec(configurations=("LMesh/ECM",)),
+            workloads=(WorkloadSpec(name="Uniform", num_requests=300),),
+            experiments=(
+                ExperimentSpec(name="coherence-sweep", params={param: []}),
+            ),
+        )
+        with pytest.raises(ScenarioError, match=r"experiments\[0\]\.params"):
+            run(scenario)
 
     def test_coherence_experiment_emits_sinks_and_section(self, tmp_path):
         json_path = tmp_path / "sweep.json"

@@ -1,16 +1,23 @@
 """Tests for :class:`repro.trace.file.TraceFileWorkload`: on-disk traces as
 scenario- and sweep-addressable workloads, deterministic truncation, and the
-``fixed_requests`` protocol in both evaluation matrices."""
+``fixed_requests`` protocol of the scenario matrix."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import Scenario, ScenarioError, SystemSpec, WorkloadSpec, run
+from repro.api import (
+    ScaleSpec,
+    Scenario,
+    ScenarioError,
+    SystemSpec,
+    WorkloadSpec,
+    build_matrix,
+    run,
+)
 from repro.api.run import ScenarioMatrix
 from repro.core.configs import configuration_by_name
 from repro.core.system import SystemSimulator
-from repro.harness.experiments import EvaluationMatrix
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep
 from repro.trace.file import TraceFileWorkload, truncate_packed
 from repro.trace.io import write_trace, write_trace_binary
@@ -150,7 +157,8 @@ class TestScenarioIntegration:
 
     def test_matrices_honor_fixed_requests(self, binary_path):
         workload = TraceFileWorkload(binary_path)
-        assert EvaluationMatrix().requests_for(workload) == 3_000
+        default_tier = build_matrix(Scenario(scale=ScaleSpec(tier="default")))
+        assert default_tier.requests_for(workload) == 3_000
         matrix = ScenarioMatrix(self._scenario(binary_path))
         assert matrix.requests_for(matrix.workloads()[0]) == 3_000
 
